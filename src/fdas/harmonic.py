@@ -5,7 +5,9 @@ signed template axis, floor on the channel axis), the stretched planes are
 summed cumulatively, and points exceeding their per-(harmonic, template)
 threshold are collected, capped per harmonic. The brute-force accumulation is
 the reference; the traversal-optimised variants differ only in working-set
-shape and access statistics and must emit bit-identical candidate lists.
+shape and access statistics and must emit bit-identical candidate lists. The
+blocked traversals (``multi-n``, ``multi-r``) run over column tiles of about
+``prep.TILE_POINTS`` plane points, so their time is linear in the plane size.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FdasConfig, FdasError, Fop, signed_range, storage_row
-from .prep import RFop, stretch_rows
+from .prep import RFop, _section_geometry, _tile_cols, stretch_rows
 
 
 class HarmonicError(FdasError):
@@ -315,16 +317,16 @@ class HmRunStats:
     points_per_item: int = 1
 
 
-def _sum_span(tm: np.ndarray, c0: int, c1: int, n_hp: int, rows: int,
-              row_maps: dict, coll: _Collector, thresholds: ThresholdTable,
-              signed: np.ndarray) -> None:
-    """Accumulate harmonics over columns [c0, c1) reading the plane directly."""
-    cols_idx = np.arange(c0, c1)
-    hp = np.zeros((rows, c1 - c0), dtype=np.float32)
-    for k in range(1, n_hp + 1):
-        sp = tm[row_maps[k]][:, cols_idx // k]
-        hp = hp + sp
-        coll.gather(k, hp, thresholds.row(k), signed, c0)
+def _accumulate(read, cols: int, tile_cols: int, n_hp: int, coll: _Collector,
+                thresholds: ThresholdTable, signed: np.ndarray) -> None:
+    """Accumulate harmonics tile by tile of output columns; ``read(k, c)``
+    returns the k-stretched source (template row x column) of columns c."""
+    for c0 in range(0, cols, tile_cols):
+        cols_idx = np.arange(c0, min(cols, c0 + tile_cols))
+        hp = np.zeros((signed.size, cols_idx.size), dtype=np.float32)
+        for k in range(1, n_hp + 1):
+            hp = hp + read(k, cols_idx)
+            coll.gather(k, hp, thresholds.row(k), signed, c0)
 
 
 def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
@@ -333,7 +335,8 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
 
     The block-streaming strategy needs the reordered plane; the others need a
     standard plane (either orientation). Strategies differ only in traversal,
-    working-set shape, and the access statistics reported.
+    working-set shape, and the access statistics reported. ``stats.elapsed``
+    is the wall span of the whole call, candidate selection included.
     """
     t_start = time.perf_counter()
     n_hp, n_cand = config.n_hp, config.n_cand
@@ -353,25 +356,13 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
                 f"but the reordered plane has {rfop.block_cols}-column blocks")
         rows = rfop.n_rows
         _check_thresholds(thresholds, n_hp, rows)
-        signed = signed_range(rows)
+        _accumulate(rfop.stretched, rfop.n_chan, _tile_cols(rows, rfop.block_cols),
+                    n_hp, coll, thresholds, signed_range(rows))
         stats.points_per_item = strategy.points_per_item
-        for b in range(rfop.n_blocks):
-            c0 = b * rfop.block_cols
-            c1 = min(rfop.n_chan, c0 + rfop.block_cols)
-            cols_idx = np.arange(c0, c1)
-            hp = np.zeros((rows, c1 - c0), dtype=np.float32)
-            off = 0
-            for k in range(1, n_hp + 1):
-                lo, hi = rfop.col_span(k, b)
-                ncols = hi - lo + 1
-                section = rfop.blocks[b, off:off + rows * ncols].reshape(rows, ncols)
-                off += rows * ncols
-                sp = section[:, cols_idx // k - lo]
-                hp = hp + sp
-                coll.gather(k, hp, thresholds.row(k), signed, c0)
-            stats.points_read += rfop.block_len  # blocks stream whole, pad included
+        stats.points_read = rfop.total_points  # blocks stream whole, pad included
+        candidates = coll.finish(n_cand)
         stats.elapsed = time.perf_counter() - t_start
-        return coll.finish(n_cand), stats
+        return candidates, stats
 
     if isinstance(plane, RFop):
         raise HarmonicError(
@@ -384,37 +375,35 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
     signed = signed_range(rows)
     row_maps = {k: stretch_rows(rows, k) for k in range(1, n_hp + 1)}
 
+    def read_plane(k, c):  # only the source columns the tile needs
+        lo = c[0] // k
+        return tm[:, lo:c[-1] // k + 1][row_maps[k]][:, c // k - lo]
+
     if isinstance(strategy, SingleHp):
         # plane at a time, every harmonic plane materialised off-chip
-        _sum_span(tm, 0, cols, n_hp, rows, row_maps, coll, thresholds, signed)
+        _accumulate(read_plane, cols, cols, n_hp, coll, thresholds, signed)
         stats.points_read = n_hp * rows * cols
         stats.plane_writes = n_hp * rows * cols
     elif isinstance(strategy, NaiveMultipleHp):
         # all harmonics per point, no materialised planes, no reuse
-        _sum_span(tm, 0, cols, n_hp, rows, row_maps, coll, thresholds, signed)
+        _accumulate(read_plane, cols, cols, n_hp, coll, thresholds, signed)
         stats.points_read = n_hp * rows * cols
         stats.plane_writes = 0
     elif isinstance(strategy, MultipleHpN):
-        step = strategy.cols_per_group
-        for c0 in range(0, cols, step):
-            c1 = min(cols, c0 + step)
-            cols_idx = np.arange(c0, c1)
-            hp = np.zeros((rows, c1 - c0), dtype=np.float32)
-            for k in range(1, n_hp + 1):
-                lo, hi = c0 // k, (c1 - 1) // k
-                uniq = np.unique(row_maps[k])
-                block = tm[np.ix_(uniq, np.arange(lo, hi + 1))]
-                stats.points_read += block.size
-                pos = np.searchsorted(uniq, row_maps[k])
-                sp = block[pos][:, cols_idx // k - lo]
-                hp = hp + sp
-                coll.gather(k, hp, thresholds.row(k), signed, c0)
+        # each column group loads the distinct stretched rows of its sections
+        g = strategy.cols_per_group
+        _accumulate(read_plane, cols, _tile_cols(rows, g), n_hp, coll,
+                    thresholds, signed)
+        _, width, _, _ = _section_geometry(cols, g, n_hp, rows)
+        distinct = [np.unique(row_maps[k]).size for k in range(1, n_hp + 1)]
+        stats.points_read = int(width.sum(axis=0) @ distinct)
         stats.plane_writes = 0
     else:
         raise HarmonicError(f"unknown harmonic strategy {strategy!r}")
 
+    candidates = coll.finish(n_cand)
     stats.elapsed = time.perf_counter() - t_start
-    return coll.finish(n_cand), stats
+    return candidates, stats
 
 
 # --- streaming detection --------------------------------------------------------------

@@ -5,7 +5,9 @@ discard strips the invalid chunk prefixes of overlap-save output, transpose
 flips the plane orientation, and reorder builds the duplicated/padded
 streaming layout consumed by the block-streaming harmonic strategy. Which
 subset fires is a fixed function of the (convolution, harmonic) combination;
-when none is needed the preparation is the identity with zero cost.
+when none is needed the preparation is the identity with zero cost. Reorder
+and the block traversals of ``fdas.harmonic`` run over tiles of about
+``TILE_POINTS`` plane points: linear in plane size, with bounded index arrays.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,8 @@ from .core import (FdasError, FormatError, Fop, is_pow2, next_pow2,
 from .convolution import ConvRawOutput, OlsFd, power_spectrum
 
 RFOP_MAGIC = b"RFP1"
+
+TILE_POINTS = 1 << 16  # plane points per tile of whole blocks
 
 
 class PrepError(FdasError):
@@ -70,6 +75,23 @@ def transpose(fop: Fop) -> Fop:
 
 # --- reordered plane -------------------------------------------------------------
 
+def _section_geometry(cols: int, block_cols: int, n_hp: int, rows: int):
+    """Streaming layout ``(lo, width, off, max_needed)``: per (block, k - 1),
+    the section's first source column, column count and start in the block;
+    and the largest block's unpadded size."""
+    c0 = np.arange(0, cols, block_cols, dtype=np.int64)[:, None]
+    ks = np.arange(1, n_hp + 1)
+    lo = c0 // ks
+    width = (np.minimum(c0 + block_cols, cols) - 1) // ks - lo + 1
+    size = rows * width
+    return lo, width, np.cumsum(size, axis=1) - size, int(size.sum(axis=1).max())
+
+
+def _tile_cols(rows: int, group_cols: int) -> int:
+    """Columns in one tile: whole column groups, about TILE_POINTS points."""
+    return max(1, TILE_POINTS // (rows * group_cols)) * group_cols
+
+
 @dataclass
 class RFop:
     """Reordered/padded plane whose blocks stream sequentially.
@@ -87,7 +109,6 @@ class RFop:
     n_hp: int
     n_rows: int | None = None
     n_chan: int | None = None
-    pad_value: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.blocks, dtype=np.float32)
@@ -112,31 +133,18 @@ class RFop:
     def total_points(self) -> int:
         return self.blocks.size
 
-    def _need_geometry(self):
+    @cached_property
+    def geometry(self):
+        """``_section_geometry`` of this plane, checked against the blocks."""
         if self.n_rows is None or self.n_chan is None:
             raise PrepError("rFOP loaded without plane geometry; "
                             "supply n_rows and n_chan")
-
-    def col_span(self, k: int, block: int) -> tuple[int, int]:
-        """Inclusive source-column range of harmonic k's section in a block."""
-        self._need_geometry()
-        c0 = block * self.block_cols
-        c1 = min(self.n_chan, c0 + self.block_cols)
-        return c0 // k, (c1 - 1) // k
-
-    def section_cols(self, k: int, block: int) -> int:
-        lo, hi = self.col_span(k, block)
-        return hi - lo + 1
-
-    def section_offset(self, k: int, block: int) -> int:
-        self._need_geometry()
-        return sum(self.n_rows * self.section_cols(kk, block)
-                   for kk in range(1, k))
-
-    def used_points(self, block: int) -> int:
-        self._need_geometry()
-        return sum(self.n_rows * self.section_cols(k, block)
-                   for k in range(1, self.n_hp + 1))
+        geo = _section_geometry(self.n_chan, self.block_cols, self.n_hp,
+                                self.n_rows)
+        if geo[0].shape[0] != self.n_blocks or geo[3] > self.block_len:
+            raise FormatError(f"rFOP blocks ({self.n_blocks} x {self.block_len})"
+                              f" do not fit a {self.n_rows} x {self.n_chan} plane")
+        return geo
 
     def lookup(self, k: int, i: int, j: int) -> np.float32:
         """Stretched source value for harmonic k at (signed template i, col j).
@@ -144,17 +152,21 @@ class RFop:
         Pure layout arithmetic; returns exactly the float32 the source plane
         holds at (trunc(i/k), floor(j/k)).
         """
-        self._need_geometry()
+        self.geometry  # raises unless n_rows and n_chan are known
         if not 1 <= k <= self.n_hp:
             raise PrepError(f"harmonic {k} out of range [1, {self.n_hp}]")
         if not 0 <= j < self.n_chan:
             raise PrepError(f"channel {j} out of range [0, {self.n_chan})")
-        block = j // self.block_cols
-        lo, _ = self.col_span(k, block)
-        offset = (self.section_offset(k, block)
-                  + storage_row(i, self.n_rows) * self.section_cols(k, block)
-                  + (j // k - lo))
-        return self.blocks[block, offset]
+        return self.stretched(k, np.array([j]))[storage_row(i, self.n_rows), 0]
+
+    def stretched(self, k: int, cols: np.ndarray) -> np.ndarray:
+        """Harmonic k's stretched source (template row x column) for output
+        columns ``cols``, gathered straight from the flat blocks."""
+        lo, width, off, _ = self.geometry
+        b = cols // self.block_cols
+        start = b * self.block_len + off[b, k - 1] + cols // k - lo[b, k - 1]
+        rows = np.arange(self.n_rows)[:, None]
+        return self.blocks.reshape(-1)[start + rows * width[b, k - 1]]
 
 
 def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
@@ -168,24 +180,22 @@ def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
         raise PrepError("block_cols and n_hp must be >= 1")
     tm = fop.template_major()
     rows, cols = tm.shape
-    n_blocks = -(-cols // block_cols)
-    row_maps = {k: stretch_rows(rows, k) for k in range(1, n_hp + 1)}
-
-    def spans(block):
-        c0 = block * block_cols
-        c1 = min(cols, c0 + block_cols)
-        return [(k, c0 // k, (c1 - 1) // k) for k in range(1, n_hp + 1)]
-
-    needed = [sum(rows * (hi - lo + 1) for _, lo, hi in spans(b))
-              for b in range(n_blocks)]
-    block_len = next_pow2(max(needed))
-    blocks = np.zeros((n_blocks, block_len), dtype=np.float32)
-    for b in range(n_blocks):
-        off = 0
-        for k, lo, hi in spans(b):
-            section = tm[row_maps[k]][:, lo:hi + 1]
-            blocks[b, off:off + section.size] = section.ravel()
-            off += section.size
+    lo, width, off, needed = _section_geometry(cols, block_cols, n_hp, rows)
+    n_blocks = lo.shape[0]
+    blocks = np.zeros((n_blocks, next_pow2(needed)), dtype=np.float32)
+    flat = blocks.reshape(-1)
+    row_step = np.arange(rows)[:, None]
+    step = _tile_cols(rows, block_cols) // block_cols
+    for k in range(1, n_hp + 1):
+        row_map = stretch_rows(rows, k)[:, None]
+        for b0 in range(0, n_blocks, step):
+            b = np.arange(b0, min(n_blocks, b0 + step))
+            w = width[b, k - 1]
+            # every (block, section column) of the tile, block-major
+            bi, j = np.nonzero(np.arange(w.max()) < w[:, None])
+            b, w = b[bi], w[bi]
+            start = b * blocks.shape[1] + off[b, k - 1] + j
+            flat[start + row_step * w] = tm[row_map, lo[b, k - 1] + j]
     return RFop(blocks=blocks, block_cols=block_cols, n_hp=n_hp,
                 n_rows=rows, n_chan=cols)
 

@@ -1,15 +1,18 @@
 """Harmonic summing: stretch lookups, the reference accumulation, the
 optimised traversals, and streaming detection."""
 
+import time
+
 import numpy as np
 import pytest
 
+from fdas import harmonic
 from fdas.core import FdasConfig, Fop
 from fdas.harmonic import (CandidateAccumulator, CandidateList, HarmonicError,
                            MultipleHpN, MultipleHpR, NaiveMultipleHp, SingleHp,
                            ThresholdTable, detect, harmonic_sum,
                            harmonic_sum_naive, stretch_lookup)
-from fdas.prep import reorder, transpose
+from fdas.prep import TILE_POINTS, reorder, transpose
 
 from conftest import random_plane
 
@@ -43,6 +46,18 @@ def brute_force_candidates(fop, thresholds, config):
                              config.n_cand)
     ks, is_, js, ps = zip(*points)
     return CandidateList.from_points(ks, is_, js, ps, config.n_cand)
+
+
+def loop_multi_n_points_read(rows, cols, group_cols, n_hp):
+    """Distinct source points the column groups load, group by group."""
+    signed = np.arange(rows) - (rows - 1) // 2
+    total = 0
+    for c0 in range(0, cols, group_cols):
+        c1 = min(cols, c0 + group_cols)
+        for k in range(1, n_hp + 1):
+            distinct_rows = np.unique(np.sign(signed) * (np.abs(signed) // k))
+            total += distinct_rows.size * ((c1 - 1) // k - c0 // k + 1)
+    return total
 
 
 class TestStretchLookup:
@@ -246,6 +261,23 @@ class TestStrategies:
         assert s_naive.points_read == n_points
         assert s_n.points_read <= s_naive.points_read  # block reuse never reads more
 
+    def test_elapsed_spans_candidate_selection(self, rng, monkeypatch):
+        cfg = cfg_for(9, 64)
+        fop = Fop(random_plane(rng, 9, 64))
+        table = ThresholdTable.from_plane(fop, cfg.n_hp, sigma_factor=1.0)
+        finish = harmonic._Collector.finish
+
+        def slow_finish(self, n_cand):
+            time.sleep(0.05)
+            return finish(self, n_cand)
+
+        monkeypatch.setattr(harmonic._Collector, "finish", slow_finish)
+        for plane, strategy in [(fop, SingleHp()), (fop, NaiveMultipleHp()),
+                                (fop, MultipleHpN(4)),
+                                (reorder(fop, 8, cfg.n_hp), MultipleHpR(8, 4))]:
+            _, stats = harmonic_sum(plane, strategy, table, cfg)
+            assert stats.elapsed >= 0.05, strategy.kind
+
     def test_streamed_and_blockwise_agree(self, rng):
         cfg = cfg_for(9, 64)
         fop = Fop(random_plane(rng, 9, 64))
@@ -285,6 +317,47 @@ class TestStrategies:
         table = ThresholdTable.constant(1.0, cfg.n_hp, 5)
         with pytest.raises(HarmonicError):
             harmonic_sum(rfop, MultipleHpR(16, 4), table, cfg)
+
+
+class TestMultiTilePlane:
+    """Blocked traversals over a plane of several tiles (prep.TILE_POINTS)."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rows, cols = 21, 8192
+        fop = Fop(random_plane(np.random.default_rng(4321), rows, cols))
+        assert fop.values.size > TILE_POINTS
+        # keep every above-threshold point, and let most points pass
+        cfg = cfg_for(rows, cols, n_hp=8, n_cand=rows * cols)
+        table = ThresholdTable.constant(1.0, 8, rows)
+        _, ref = harmonic_sum_naive(fop, table, cfg)
+        assert len(ref) > fop.values.size
+        return fop, cfg, table, ref
+
+    @pytest.mark.parametrize("block_cols", [3, 16, 1])
+    def test_multi_r_matches_reference(self, case, block_cols):
+        fop, cfg, table, ref = case
+        rfop = reorder(fop, block_cols, cfg.n_hp)
+        cands, _ = harmonic_sum(rfop, MultipleHpR(block_cols, 4), table, cfg)
+        assert cands.same_as(ref)
+
+    @pytest.mark.parametrize("block_cols", [3, 16, 1])
+    def test_multi_n_matches_reference(self, case, block_cols):
+        fop, cfg, table, ref = case
+        cands, _ = harmonic_sum(transpose(fop), MultipleHpN(block_cols), table,
+                                cfg)
+        assert cands.same_as(ref)
+
+    @pytest.mark.parametrize("rows,cols,group_cols", [
+        (9, 4096, 1), (21, 8192, 16), (21, 8192, 3), (17, 4096, 5)])
+    def test_multi_n_points_read_matches_group_loop(self, rows, cols,
+                                                    group_cols):
+        cfg = cfg_for(rows, cols, n_hp=8)
+        fop = Fop(np.zeros((rows, cols), dtype=np.float32))
+        table = ThresholdTable.constant(1.0, 8, rows)
+        _, stats = harmonic_sum(fop, MultipleHpN(group_cols), table, cfg)
+        assert stats.points_read == loop_multi_n_points_read(rows, cols,
+                                                             group_cols, 8)
 
 
 class TestDetect:

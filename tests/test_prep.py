@@ -6,11 +6,12 @@ import pytest
 from fdas.convolution import (ConvRawOutput, NaiveFd, NaiveTd, OlaTd, OlsFd,
                               convolve_bank, fir_naive_td, fir_ols_fd,
                               power_spectrum)
-from fdas.core import FilterBank, Fop
+from fdas.core import FilterBank, FormatError, Fop
 from fdas.harmonic import (MultipleHpN, MultipleHpR, NaiveMultipleHp, SingleHp,
                            stretch_lookup)
-from fdas.prep import (PrepError, RFop, discard, fop_from, load_rfop, prepare,
-                       reorder, required_transforms, save_rfop, transpose)
+from fdas.prep import (TILE_POINTS, PrepError, RFop, discard, fop_from,
+                       load_rfop, prepare, reorder, required_transforms,
+                       save_rfop, transpose)
 
 from conftest import random_plane, random_series, random_taps, rel_err
 
@@ -94,6 +95,22 @@ def brute_force_block_points(tm, block, block_cols, n_hp):
     return np.array(out, dtype=np.float32)
 
 
+def loop_block_sections(tm, block_cols, n_hp):
+    """Each block's unpadded contents, built one (block, k) section at a time."""
+    rows, cols = tm.shape
+    offset = (rows - 1) // 2
+    signed = np.arange(rows) - offset
+    blocks = []
+    for c0 in range(0, cols, block_cols):
+        c1 = min(cols, c0 + block_cols)
+        sections = []
+        for k in range(1, n_hp + 1):
+            src = np.sign(signed) * (np.abs(signed) // k) + offset
+            sections.append(tm[:, c0 // k:(c1 - 1) // k + 1][src].ravel())
+        blocks.append(np.concatenate(sections))
+    return blocks
+
+
 class TestReorder:
     def test_degenerate_identity(self, rng):
         # one harmonic, one block covering the whole plane, power-of-two rows:
@@ -133,6 +150,21 @@ class TestReorder:
         rfop = reorder(fop, 5, 4)
         assert rfop.block_len & (rfop.block_len - 1) == 0
 
+    @pytest.mark.parametrize("block_cols", [3, 16, 1])
+    def test_multi_tile_plane_against_block_loop(self, rng, block_cols):
+        # a plane of several tiles; a block width of 3 divides neither the
+        # channel count nor the tile's point count
+        fop = Fop(random_plane(rng, 21, 8192))
+        assert fop.values.size > TILE_POINTS
+        rfop = reorder(fop, block_cols, 8)
+        expected = loop_block_sections(fop.values, block_cols, 8)
+        assert rfop.n_blocks == len(expected)
+        longest = max(e.size for e in expected)
+        assert rfop.block_len == 1 << (longest - 1).bit_length()
+        for b, e in enumerate(expected):
+            assert np.array_equal(rfop.blocks[b, :e.size], e)
+            assert not rfop.blocks[b, e.size:].any()  # tail padding
+
     def test_from_transposed_plane_matches(self, rng):
         fop = Fop(random_plane(rng, 5, 16))
         a = reorder(fop, 4, 2)
@@ -150,6 +182,15 @@ class TestRfopFile:
         assert loaded.block_cols == 8 and loaded.n_hp == 3
         assert np.array_equal(loaded.blocks, rfop.blocks)
         assert loaded.lookup(3, -1, 17) == rfop.lookup(3, -1, 17)
+
+    def test_geometry_must_fit_the_blocks(self, rng, tmp_path):
+        rfop = reorder(Fop(random_plane(rng, 5, 32)), 8, 3)
+        path = tmp_path / "plane.rfop"
+        save_rfop(rfop, path)
+        for n_rows, n_chan in [(5, 64), (9, 32)]:
+            loaded = load_rfop(path, n_rows=n_rows, n_chan=n_chan)
+            with pytest.raises(FormatError):
+                loaded.lookup(1, 0, 0)
 
     def test_geometry_required_for_lookup(self, rng, tmp_path):
         rfop = reorder(Fop(random_plane(rng, 3, 8)), 4, 2)
