@@ -6,13 +6,12 @@ from .core import (ConfigError, FdasConfig, FdasError, FilterBank, Fop,
                    FormatError, generate_input, load_config, load_fop,
                    save_config, save_fop, synthetic_bank)
 from .convolution import (ConvRawOutput, NaiveFd, NaiveTd, OlaTd, OlsFd,
-                          convolve_bank, fir_naive_fd, fir_naive_td,
-                          fir_ola_td, fir_ols_fd, power_spectrum)
+                          convolve_bank, fir_naive_td, fir_ols_fd,
+                          power_spectrum)
 from .dft import DftPlan
-from .harmonic import (CandidateAccumulator, CandidateList, MultipleHpN,
-                       MultipleHpR, NaiveMultipleHp, SingleHp, ThresholdTable,
-                       detect, harmonic_sum, harmonic_sum_naive,
-                       stretch_lookup)
+from .harmonic import (CandidateList, MultipleHpN, MultipleHpR,
+                       NaiveMultipleHp, SingleHp, ThresholdTable, harmonic_sum,
+                       harmonic_sum_naive, stretch_lookup)
 from .pipeline import (DeviceModel, PipelinePlan, StageTiming,
                        choose_buffering, contended_period, ideal_period,
                        multi_device_period, plan_pipeline, sweep,

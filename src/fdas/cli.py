@@ -21,9 +21,6 @@ from . import pipeline as pl
 from .core import (ConfigError, FdasConfig, FdasError, generate_input,
                    load_config, save_config)
 
-CONV_CHOICES = ("naive-td", "ola-td", "naive-fd", "ols-fd")
-HM_CHOICES = ("single", "naive-multi", "multi-n", "multi-r")
-
 
 def _parse_injection(text: str):
     parts = text.split(":")
@@ -69,10 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one combination end to end")
     _add_common(p_run)
     _add_generation(p_run)
-    p_run.add_argument("--conv", choices=CONV_CHOICES, default="ols-fd")
+    p_run.add_argument("--conv", choices=harness.ALL_CONV, default="ols-fd")
     p_run.add_argument("--conv-param", type=int, default=None, metavar="N",
                        help="sub-filter width (ola-td) or chunk size (ols-fd)")
-    p_run.add_argument("--hm", choices=HM_CHOICES, default="naive-multi")
+    p_run.add_argument("--hm", choices=harness.ALL_HM, default="naive-multi")
     p_run.add_argument("--hm-cols", type=int, default=None, metavar="N",
                        help="columns per work group (parallel lanes for single)")
     p_run.add_argument("--hm-ppi", type=int, default=None, metavar="N",
@@ -102,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--reps", type=int, default=5,
                       help="repetitions per combination when measuring")
     p_sw.add_argument("--threads", type=int, default=1)
-    p_sw.add_argument("--conv", choices=CONV_CHOICES, default=None,
+    p_sw.add_argument("--conv", choices=harness.ALL_CONV, default=None,
                       help="restrict measured sweep to one convolution kind")
-    p_sw.add_argument("--hm", choices=HM_CHOICES, default=None,
+    p_sw.add_argument("--hm", choices=harness.ALL_HM, default=None,
                       help="restrict measured sweep to one harmonic kind")
     return parser
 

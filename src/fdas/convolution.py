@@ -5,6 +5,13 @@ direct time-domain summation, coefficient-split overlap-add, single-transform
 frequency-domain convolution, and chunked overlap-save. All use the causal
 zero-history boundary (x[i-j] = 0 for i-j < 0) and agree on the resulting
 filter-output plane within single-precision tolerance.
+
+Both frequency-domain routes run one kernel: the input chunks are
+transformed once in one batched call, and each template is one forward
+transform, a broadcast multiply and one batched inverse over all chunks.
+``naive-fd`` is its one-chunk case, with no overlap and a chunk that holds
+the whole linear convolution. The inverse runs per template, never over the
+whole bank at once, so the working set stays one template's chunks.
 """
 
 from __future__ import annotations
@@ -101,50 +108,6 @@ def ola_padded_length(n_tap: int, n_paral: int) -> int:
     return ola_launch_count(n_tap, n_paral) * n_paral
 
 
-def fir_ola_td(x, h, n_paral: int) -> np.ndarray:
-    """Overlap-add split of the coefficients; identical to fir_naive_td.
-
-    The filter is cut into ola_launch_count(len(h), n_paral) sub-filters of
-    n_paral taps (last one zero-padded); each sub-filter output is delayed by
-    its offset and the partials are summed.
-    """
-    x = np.asarray(x)
-    h = np.asarray(h)
-    if x.size == 0 or h.size == 0:
-        raise ConvolutionError("input and coefficients must be non-empty")
-    if n_paral < 1:
-        raise ConvolutionError(f"n_paral must be >= 1, got {n_paral}")
-    n = x.size
-    y = np.zeros(n, dtype=np.complex64 if x.dtype == np.complex64 else np.complex128)
-    for p in range(ola_launch_count(h.size, n_paral)):
-        sub = h[p * n_paral:(p + 1) * n_paral]
-        if not sub.any():
-            continue
-        part = np.convolve(x, sub)
-        delay = p * n_paral
-        if delay < n:
-            y[delay:] += part[: n - delay].astype(y.dtype)
-    return y
-
-
-def fir_naive_fd(x, h) -> np.ndarray:
-    """Frequency-domain convolution: transform, multiply, inverse-transform."""
-    x = np.asarray(x)
-    h = np.asarray(h)
-    if x.size == 0 or h.size == 0:
-        raise ConvolutionError("input and coefficients must be non-empty")
-    n = x.size
-    size = next_pow2(n + h.size - 1)
-    fwd = DftPlan(size, "forward")
-    inv = DftPlan(size, "inverse")
-    xx = np.zeros(size, dtype=np.complex128)
-    xx[:n] = x
-    hh = np.zeros(size, dtype=np.complex128)
-    hh[: h.size] = h
-    y = dft(inv, dft(fwd, xx) * dft(fwd, hh))[:n]
-    return y.astype(np.complex64 if x.dtype == np.complex64 else np.complex128)
-
-
 # --- chunked overlap-save ----------------------------------------------------------
 
 @dataclass
@@ -197,33 +160,25 @@ def ols_chunk_count(n: int, chunk: int, overlap: int) -> int:
     return -(-n // (chunk - overlap))
 
 
-def _chunk_spectra(x: np.ndarray, chunk: int, overlap: int):
-    """Zero-prefix the input, cut overlapping chunks, transform each once."""
-    n = x.size
+def _chunk_spectra(x: np.ndarray, chunk: int, overlap: int) -> np.ndarray:
+    """Zero-prefix the input, cut overlapping chunks and transform them all in
+    one batch: row m is the spectrum of chunk m, shape (n_chunks, chunk)."""
     advance = chunk - overlap
-    n_chunks = ols_chunk_count(n, chunk, overlap)
+    n_chunks = ols_chunk_count(x.size, chunk, overlap)
     padded = np.zeros(overlap + n_chunks * advance, dtype=np.complex128)
-    padded[overlap: overlap + n] = x
-    fwd = DftPlan(chunk, "forward")
-    spectra = [dft(fwd, padded[m * advance: m * advance + chunk])
-               for m in range(n_chunks)]
-    return spectra
+    padded[overlap: overlap + x.size] = x
+    chunks = np.lib.stride_tricks.sliding_window_view(padded, chunk)[::advance]
+    return dft(DftPlan(chunk, "forward"), chunks)
 
 
-def _ols_template(spectra, h, chunk: int, overlap: int) -> np.ndarray:
-    """Per-chunk circular convolution of one template against cached spectra."""
-    if h.size - 1 > overlap:
-        raise ConvolutionError(
-            f"template has {h.size} taps but the chunk overlap is only {overlap}")
-    fwd = DftPlan(chunk, "forward")
-    inv = DftPlan(chunk, "inverse")
-    hh = np.zeros(chunk, dtype=np.complex128)
+def _fd_template(spectra: np.ndarray, h: np.ndarray, size: int) -> np.ndarray:
+    """Circular convolution of one template with every row of ``spectra``
+    (input spectra of ``size`` points): one forward transform of the
+    template, a broadcast multiply and one batched inverse."""
+    hh = np.zeros(size, dtype=np.complex128)
     hh[: h.size] = h
-    spectrum_h = dft(fwd, hh)
-    out = np.empty((len(spectra), chunk), dtype=np.complex64)
-    for m, spectrum in enumerate(spectra):
-        out[m] = dft(inv, spectrum * spectrum_h).astype(np.complex64)
-    return out
+    spectrum_h = dft(DftPlan(size, "forward"), hh)
+    return dft(DftPlan(size, "inverse"), spectra * spectrum_h).astype(np.complex64)
 
 
 def assemble_ols(raw: ConvRawOutput, template: int = 0) -> np.ndarray:
@@ -238,16 +193,7 @@ def fir_ols_fd(x, h, chunk: int):
     Returns the assembled series (valid points only) together with the raw
     chunked output whose per-chunk invalid prefixes are still present.
     """
-    x = np.asarray(x)
-    h = np.asarray(h)
-    if x.size == 0 or h.size == 0:
-        raise ConvolutionError("input and coefficients must be non-empty")
-    if not is_pow2(chunk):
-        raise ConvolutionError(f"chunk must be a power of two, got {chunk}")
-    overlap = h.size - 1
-    spectra = _chunk_spectra(x, chunk, overlap)
-    chunks = _ols_template(spectra, h, chunk, overlap)[np.newaxis]
-    raw = ConvRawOutput(chunks=chunks, overlap=overlap, n_cols=x.size)
+    raw, _ = convolve_bank(x, FilterBank([h]), OlsFd(chunk))
     return assemble_ols(raw, 0), raw
 
 
@@ -309,41 +255,28 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
                 rows[t] = power_spectrum(partial[t])
             return times
 
-    elif isinstance(strategy, NaiveFd):
-        size = next_pow2(n + bank.max_taps - 1)
-        fwd = DftPlan(size, "forward")
-        inv = DftPlan(size, "inverse")
-        xx = np.zeros(size, dtype=np.complex128)
-        xx[:n] = x
+    elif isinstance(strategy, (NaiveFd, OlsFd)):
+        # naive-fd is the one-chunk case: no overlap, and one chunk long
+        # enough to hold the whole linear convolution
+        ols = isinstance(strategy, OlsFd)
+        overlap = bank.max_taps - 1 if ols else 0
+        size = strategy.chunk if ols else next_pow2(n + bank.max_taps - 1)
         t0 = time.perf_counter()
-        spectrum_x = dft(fwd, xx)
+        spectra = _chunk_spectra(x, size, overlap)
         input_transform_time = time.perf_counter() - t0
-        input_transforms = 1
+        input_transforms = spectra.shape[0]
+        if ols:
+            chunk_rows = np.empty((bank.n_templates,) + spectra.shape,
+                                  dtype=np.complex64)
 
         def run_group(group):
             t0 = time.perf_counter()
             for t in group:
-                h = bank.templates[t]
-                hh = np.zeros(size, dtype=np.complex128)
-                hh[: h.size] = h
-                y = dft(inv, spectrum_x * dft(fwd, hh))[:n]
-                rows[t] = power_spectrum(y.astype(np.complex64))
-            return [time.perf_counter() - t0]
-
-    elif isinstance(strategy, OlsFd):
-        overlap = bank.max_taps - 1
-        t0 = time.perf_counter()
-        spectra = _chunk_spectra(x, strategy.chunk, overlap)
-        input_transform_time = time.perf_counter() - t0
-        input_transforms = len(spectra)
-        chunk_rows = np.empty((bank.n_templates, len(spectra), strategy.chunk),
-                              dtype=np.complex64)
-
-        def run_group(group):
-            t0 = time.perf_counter()
-            for t in group:
-                chunk_rows[t] = _ols_template(spectra, bank.templates[t],
-                                              strategy.chunk, overlap)
+                y = _fd_template(spectra, bank.templates[t], size)
+                if ols:
+                    chunk_rows[t] = y
+                else:
+                    rows[t] = power_spectrum(y[0, :n])
             return [time.perf_counter() - t0]
 
     else:

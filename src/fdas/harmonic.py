@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -379,16 +379,13 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
         lo = c[0] // k
         return tm[:, lo:c[-1] // k + 1][row_maps[k]][:, c // k - lo]
 
-    if isinstance(strategy, SingleHp):
-        # plane at a time, every harmonic plane materialised off-chip
+    if isinstance(strategy, (SingleHp, NaiveMultipleHp)):
+        # every harmonic reads the whole plane, no reuse; single also writes
+        # each harmonic plane it builds off-chip
         _accumulate(read_plane, cols, cols, n_hp, coll, thresholds, signed)
         stats.points_read = n_hp * rows * cols
-        stats.plane_writes = n_hp * rows * cols
-    elif isinstance(strategy, NaiveMultipleHp):
-        # all harmonics per point, no materialised planes, no reuse
-        _accumulate(read_plane, cols, cols, n_hp, coll, thresholds, signed)
-        stats.points_read = n_hp * rows * cols
-        stats.plane_writes = 0
+        if isinstance(strategy, SingleHp):
+            stats.plane_writes = stats.points_read
     elif isinstance(strategy, MultipleHpN):
         # each column group loads the distinct stretched rows of its sections
         g = strategy.cols_per_group
@@ -397,51 +394,9 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
         _, width, _, _ = _section_geometry(cols, g, n_hp, rows)
         distinct = [np.unique(row_maps[k]).size for k in range(1, n_hp + 1)]
         stats.points_read = int(width.sum(axis=0) @ distinct)
-        stats.plane_writes = 0
     else:
         raise HarmonicError(f"unknown harmonic strategy {strategy!r}")
 
     candidates = coll.finish(n_cand)
     stats.elapsed = time.perf_counter() - t_start
     return candidates, stats
-
-
-# --- streaming detection --------------------------------------------------------------
-
-@dataclass
-class CandidateAccumulator:
-    """Streaming top-N accumulator with strict-inequality thresholding."""
-
-    n_cand: int
-    _per_k: dict = field(default_factory=dict)
-
-    def to_candidates(self) -> CandidateList:
-        lists = []
-        for k, entries in self._per_k.items():
-            if not entries:
-                continue
-            p, i, j = zip(*entries)
-            lists.append(CandidateList.from_points(
-                np.full(len(p), k), i, j, p, self.n_cand))
-        return CandidateList.merge(lists, self.n_cand)
-
-
-def detect(hp_value: float, k: int, i: int, j: int,
-           thresholds: ThresholdTable,
-           accumulator: CandidateAccumulator) -> CandidateAccumulator:
-    """Insert (k, i, j) when its power strictly exceeds the threshold.
-
-    A full per-harmonic list only admits the point by evicting the current
-    minimum-power entry, and only when the new power strictly exceeds it.
-    """
-    power = np.float32(hp_value)
-    if not power > thresholds.value(k, i):
-        return accumulator
-    entries = accumulator._per_k.setdefault(k, [])
-    if len(entries) < accumulator.n_cand:
-        entries.append((power, i, j))
-        return accumulator
-    lowest = min(range(len(entries)), key=lambda n: entries[n][0])
-    if power > entries[lowest][0]:
-        entries[lowest] = (power, i, j)
-    return accumulator

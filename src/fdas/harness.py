@@ -10,7 +10,7 @@ scale, and measure_sweep times every combination to feed the model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,35 +30,32 @@ class SpecError(FdasError):
 VERIFY_TEMPLATES = {2 ** 10: 5, 2 ** 11: 7, 2 ** 12: 9, 2 ** 13: 13, 2 ** 14: 17}
 
 
-def make_conv_strategy(kind: str, param: int | None = None):
+ALL_CONV = tuple(conv.CONV_KINDS)
+ALL_HM = tuple(hm.HM_KINDS)
+
+
+def _make_strategy(kinds: dict, stage: str, kind: str, *params):
+    """Build ``kinds[kind]``, giving its fields in order the parameters that
+    are not None; the dataclass holds the defaults and validates the rest."""
+    cls = kinds.get(kind)
+    if cls is None:
+        raise SpecError(f"unknown {stage} strategy {kind!r}")
+    names = [f.name for f in fields(cls)]
     try:
-        if kind == "naive-td":
-            return conv.NaiveTd()
-        if kind == "ola-td":
-            return conv.OlaTd(n_paral=param if param else 128)
-        if kind == "naive-fd":
-            return conv.NaiveFd()
-        if kind == "ols-fd":
-            return conv.OlsFd(chunk=param if param else 2048)
+        return cls(**{name: p for name, p in zip(names, params) if p is not None})
     except FdasError as exc:
         raise SpecError(str(exc)) from exc
-    raise SpecError(f"unknown convolution strategy {kind!r}")
+
+
+def make_conv_strategy(kind: str, param: int | None = None):
+    """Sub-filter width (ola-td) or chunk size (ols-fd) from ``param``."""
+    return _make_strategy(conv.CONV_KINDS, "convolution", kind, param)
 
 
 def make_hm_strategy(kind: str, cols: int | None = None, ppi: int | None = None):
-    try:
-        if kind == "single":
-            return hm.SingleHp(n_paral=cols if cols else 8)
-        if kind == "naive-multi":
-            return hm.NaiveMultipleHp()
-        if kind == "multi-n":
-            return hm.MultipleHpN(cols_per_group=cols if cols else 1)
-        if kind == "multi-r":
-            return hm.MultipleHpR(cols_per_group=cols if cols else 16,
-                                  points_per_item=ppi if ppi else 4)
-    except FdasError as exc:
-        raise SpecError(str(exc)) from exc
-    raise SpecError(f"unknown harmonic strategy {kind!r}")
+    """Parallel lanes (single) or columns per group from ``cols``, points per
+    work item (multi-r) from ``ppi``."""
+    return _make_strategy(hm.HM_KINDS, "harmonic", kind, cols, ppi)
 
 
 @dataclass
@@ -199,10 +196,6 @@ def run_pipeline(spec: RunSpec, out_dir) -> dict:
 
 
 # --- verification ----------------------------------------------------------------
-
-ALL_CONV = ("naive-td", "ola-td", "naive-fd", "ols-fd")
-ALL_HM = ("single", "naive-multi", "multi-n", "multi-r")
-
 
 @dataclass
 class CheckResult:

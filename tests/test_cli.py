@@ -1,13 +1,15 @@
 """Command-line harness: artifacts, determinism, exit codes."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from fdas.cli import build_parser, main
+from fdas.convolution import CONV_KINDS
 from fdas.core import FdasConfig, load_fop, save_config
-from fdas.harmonic import CandidateList
+from fdas.harmonic import HM_KINDS, CandidateList
 from fdas.harness import RunSpec, SpecError, verification_checks
 from fdas.pipeline import StageTiming
 
@@ -93,6 +95,16 @@ class TestRun:
         rc = run_cli("run", "--config", desk_config, "--out", str(tmp_path / "x"),
                      "--conv", "ols-fd", "--conv-param", "8")
         assert rc == 2
+
+    @pytest.mark.parametrize("flags", [("--conv", "ola-td", "--conv-param", "0"),
+                                       ("--hm", "multi-r", "--hm-cols", "0")])
+    def test_zero_strategy_parameter_exits_2(self, tmp_path, desk_config,
+                                             flags):
+        # 0 is a value to validate, not a request for the default
+        rc = run_cli("run", "--config", desk_config, "--out", str(tmp_path / "x"),
+                     *flags)
+        assert rc == 2
+        assert not (tmp_path / "x").exists()
 
     def test_runtime_error_exits_1(self, tmp_path, desk_config):
         # injection channel beyond the plane is caught while running, not
@@ -223,6 +235,14 @@ class TestRunSpecValidation:
                       hm_kind="multi-n", prep_ops=("reorder",))
         with pytest.raises(SpecError):
             bad.strategies()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_strategy_choices_are_the_registries(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        choices = {a.dest: a.choices for a in sub.choices[command]._actions}
+        assert list(choices["conv"]) == list(CONV_KINDS)
+        assert list(choices["hm"]) == list(HM_KINDS)
 
     def test_parser_has_all_subcommands(self):
         parser = build_parser()

@@ -5,14 +5,19 @@ import pytest
 
 from fdas.convolution import (ConvolutionError, ConvRawOutput, NaiveFd,
                               NaiveTd, OlaTd, OlsFd, assemble_ols,
-                              convolve_bank, fir_naive_fd, fir_naive_td,
-                              fir_ola_td, fir_ols_fd, ola_launch_count,
-                              ola_padded_length, ols_chunk_count,
-                              power_spectrum)
+                              convolve_bank, fir_naive_td, fir_ols_fd,
+                              ola_launch_count, ola_padded_length,
+                              ols_chunk_count, power_spectrum)
 from fdas.core import FilterBank
 from fdas.prep import fop_from
 
 from conftest import direct_convolve, random_series, random_taps, rel_err
+
+
+def plane_row(x, h, strategy):
+    """Power row of one template applied with ``strategy``."""
+    out, _ = convolve_bank(x, FilterBank([h]), strategy)
+    return fop_from(out).values[0]
 
 
 class TestPowerSpectrum:
@@ -62,12 +67,14 @@ class TestOlaTd:
     def test_single_subarray_degenerates_to_naive(self, rng):
         x = random_series(rng, 400)
         h = random_taps(rng, 128)
-        assert np.array_equal(fir_ola_td(x, h, 128), fir_naive_td(x, h))
+        assert np.array_equal(plane_row(x, h, OlaTd(128)),
+                              plane_row(x, h, NaiveTd()))
 
     def test_matches_naive(self, rng):
         x = random_series(rng, 777)
         h = random_taps(rng, 300)
-        assert rel_err(fir_ola_td(x, h, 64), fir_naive_td(x, h)) < 1e-5
+        assert rel_err(plane_row(x, h, OlaTd(64)),
+                       plane_row(x, h, NaiveTd())) < 1e-5
 
     def test_subfilter_count_property(self, rng):
         for _ in range(50):
@@ -79,24 +86,24 @@ class TestOlaTd:
 
     def test_bad_n_paral(self, rng):
         with pytest.raises(ConvolutionError):
-            fir_ola_td(random_series(rng, 8), random_taps(rng, 4), 0)
+            plane_row(random_series(rng, 8), random_taps(rng, 4), OlaTd(0))
 
 
 class TestNaiveFd:
     def test_impulse(self):
         x = np.zeros(8, dtype=np.complex64)
         x[0] = 1
-        out = fir_naive_fd(x, np.array([1, 1], dtype=np.complex64))
+        out = plane_row(x, np.array([1, 1], dtype=np.complex64), NaiveFd())
         assert np.allclose(out, [1, 1, 0, 0, 0, 0, 0, 0], atol=1e-6)
 
     def test_identity(self, rng):
         x = random_series(rng, 64)
-        assert rel_err(fir_naive_fd(x, [1]), x) < 1e-6
+        assert rel_err(plane_row(x, [1], NaiveFd()), power_spectrum(x)) < 1e-6
 
     def test_matches_naive_td(self, rng):
         x = random_series(rng, 1000)
         h = random_taps(rng, 421)
-        assert rel_err(fir_naive_fd(x, h), fir_naive_td(x, h)) < 1e-4
+        assert rel_err(plane_row(x, h, NaiveFd()), plane_row(x, h, NaiveTd())) < 1e-4
 
 
 class TestOlsFd:
@@ -129,9 +136,10 @@ class TestOlsFd:
         h = random_taps(rng, 101)
         chunk = 512
         x = random_series(rng, chunk - (h.size - 1))
-        series, raw = fir_ols_fd(x, h, chunk)
+        _, raw = fir_ols_fd(x, h, chunk)
         assert raw.n_chunks == 1
-        assert rel_err(series, fir_naive_fd(x, h)) < 1e-4
+        assert rel_err(plane_row(x, h, OlsFd(chunk)),
+                       plane_row(x, h, NaiveFd())) < 1e-4
 
     def test_chunk_too_small(self, rng):
         with pytest.raises(ConvolutionError):

@@ -22,6 +22,12 @@ class TestPlan:
         with pytest.raises(TransformError):
             dft(DftPlan(8), np.zeros(4, dtype=np.complex64))
 
+    def test_batch_last_axis_mismatch(self):
+        with pytest.raises(TransformError):
+            dft(DftPlan(8), np.zeros((3, 4), dtype=np.complex64))
+        with pytest.raises(TransformError):
+            dft(DftPlan(8), np.zeros((8, 4), dtype=np.complex64))
+
 
 class TestKnownValues:
     def test_impulse_to_constant(self):
@@ -79,6 +85,16 @@ class TestProperties:
         got_inv = dft(DftPlan(size, "inverse"), x)
         assert np.max(np.abs(got_inv - ref_inv)) < 1e-9 * max(
             np.max(np.abs(ref_inv)), 1e-30)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_batch_rows_equal_one_dimensional_calls(self, rng, dtype,
+                                                    direction):
+        batch = random_series(rng, 3 * 64, dtype).reshape(3, 64)
+        plan = DftPlan(64, direction)
+        got = dft(plan, batch)
+        assert got.shape == (3, 64) and got.dtype == dtype
+        assert np.array_equal(got, np.stack([dft(plan, row) for row in batch]))
 
     def test_complex64_in_complex64_out(self, rng):
         x = random_series(rng, 64)

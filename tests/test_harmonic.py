@@ -1,5 +1,5 @@
-"""Harmonic summing: stretch lookups, the reference accumulation, the
-optimised traversals, and streaming detection."""
+"""Harmonic summing: stretch lookups, the reference accumulation, and the
+optimised traversals."""
 
 import time
 
@@ -8,10 +8,10 @@ import pytest
 
 from fdas import harmonic
 from fdas.core import FdasConfig, Fop
-from fdas.harmonic import (CandidateAccumulator, CandidateList, HarmonicError,
-                           MultipleHpN, MultipleHpR, NaiveMultipleHp, SingleHp,
-                           ThresholdTable, detect, harmonic_sum,
-                           harmonic_sum_naive, stretch_lookup)
+from fdas.harmonic import (CandidateList, HarmonicError, MultipleHpN,
+                           MultipleHpR, NaiveMultipleHp, SingleHp,
+                           ThresholdTable, harmonic_sum, harmonic_sum_naive,
+                           stretch_lookup)
 from fdas.prep import TILE_POINTS, reorder, transpose
 
 from conftest import random_plane
@@ -359,33 +359,3 @@ class TestMultiTilePlane:
         assert stats.points_read == loop_multi_n_points_read(rows, cols,
                                                              group_cols, 8)
 
-
-class TestDetect:
-    def test_boundary_is_strict(self):
-        table = ThresholdTable.constant(5.0, 1, 3)
-        acc = CandidateAccumulator(n_cand=4)
-        detect(5.0, 1, 0, 7, table, acc)
-        assert len(acc.to_candidates()) == 0
-        detect(5.00001, 1, 0, 7, table, acc)
-        assert len(acc.to_candidates()) == 1
-
-    def test_top_n_replacement(self):
-        table = ThresholdTable.constant(1.0, 1, 3)
-        acc = CandidateAccumulator(n_cand=2)
-        for power, j in [(5.0, 1), (9.0, 2), (7.0, 3)]:
-            detect(power, 1, 0, j, table, acc)
-        got = acc.to_candidates()
-        assert sorted(got.entries["power"].tolist()) == [7.0, 9.0]
-
-    def test_streaming_matches_sort_then_truncate(self, rng):
-        cfg = cfg_for(5, 32, n_hp=3, n_cand=5)
-        fop = Fop(random_plane(rng, 5, 32))
-        table = ThresholdTable.constant(1.0, 3, 5)
-        planes, ref = harmonic_sum_naive(fop, table, cfg)
-        acc = CandidateAccumulator(n_cand=5)
-        for k, hp in enumerate(planes, start=1):
-            for r in range(5):
-                for j in range(32):
-                    detect(hp[r, j], k, r - 2, j, table, acc)
-        got = acc.to_candidates()
-        assert got.same_as(ref)
