@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sub-filter width (ola-td) or chunk size (ols-fd)")
     p_run.add_argument("--hm", choices=harness.ALL_HM, default="naive-multi")
     p_run.add_argument("--hm-cols", type=int, default=None, metavar="N",
-                       help="columns per work group (parallel lanes for single)")
+                       help="columns per work group (multi-n, multi-r)")
     p_run.add_argument("--hm-ppi", type=int, default=None, metavar="N",
                        help="points per work item (multi-r)")
     p_run.add_argument("--devices", type=int, default=1)
@@ -79,9 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--threshold", type=float, default=None,
                        help="constant detection threshold (default: from plane)")
-    p_run.add_argument("--prep-path", choices=("device", "host"), default="device")
-    p_run.add_argument("--prep-ops", default=None, metavar="OPS",
-                       help="comma list of discard,transpose,reorder (validated)")
     p_run.add_argument("--templates", type=int, default=None,
                        help="override the template count (e.g. half plane)")
     p_run.add_argument("--filters-per-launch", type=int, default=1)
@@ -119,14 +116,11 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    prep_ops = None
-    if args.prep_ops is not None:
-        prep_ops = tuple(s for s in args.prep_ops.split(",") if s)
     spec = harness.RunSpec(
         config=cfg, conv_kind=args.conv, conv_param=args.conv_param,
         hm_kind=args.hm, hm_cols=args.hm_cols, hm_ppi=args.hm_ppi,
-        prep_path=args.prep_path, prep_ops=prep_ops, n_devices=args.devices,
-        scheme=args.scheme, seed=args.seed, threads=args.threads,
+        n_devices=args.devices, scheme=args.scheme, seed=args.seed,
+        threads=args.threads,
         filters_per_launch=args.filters_per_launch, threshold=args.threshold,
         injections=tuple(args.inject), noise_sigma=args.noise,
         n_templates=args.templates)

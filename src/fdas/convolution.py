@@ -65,15 +65,12 @@ class OlsFd:
     """Overlap-save: the input is chunked with an n_tap-1 point overlap."""
 
     chunk: int = 2048
-    engines: int = 1
     kind = "ols-fd"
 
     def __post_init__(self):
         if not is_pow2(self.chunk):
             raise ConvolutionError(
                 f"ols-fd chunk must be a power of two, got {self.chunk}")
-        if self.engines not in (1, 2):
-            raise ConvolutionError(f"ols-fd engines must be 1 or 2, got {self.engines}")
 
 
 CONV_KINDS = {"naive-td": NaiveTd, "ola-td": OlaTd, "naive-fd": NaiveFd,

@@ -32,12 +32,7 @@ class HarmonicError(FdasError):
 class SingleHp:
     """One harmonic plane at a time, materialising every plane it builds."""
 
-    n_paral: int = 8
     kind = "single"
-
-    def __post_init__(self):
-        if self.n_paral < 1:
-            raise HarmonicError(f"n_paral must be >= 1, got {self.n_paral}")
 
 
 @dataclass(frozen=True)
@@ -314,7 +309,6 @@ class HmRunStats:
     points_read: int = 0
     plane_writes: int = 0
     elapsed: float = 0.0
-    points_per_item: int = 1
 
 
 def _accumulate(read, cols: int, tile_cols: int, n_hp: int, coll: _Collector,
@@ -358,7 +352,6 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
         _check_thresholds(thresholds, n_hp, rows)
         _accumulate(rfop.stretched, rfop.n_chan, _tile_cols(rows, rfop.block_cols),
                     n_hp, coll, thresholds, signed_range(rows))
-        stats.points_per_item = strategy.points_per_item
         stats.points_read = rfop.total_points  # blocks stream whole, pad included
         candidates = coll.finish(n_cand)
         stats.elapsed = time.perf_counter() - t_start

@@ -36,11 +36,16 @@ ALL_HM = tuple(hm.HM_KINDS)
 
 def _make_strategy(kinds: dict, stage: str, kind: str, *params):
     """Build ``kinds[kind]``, giving its fields in order the parameters that
-    are not None; the dataclass holds the defaults and validates the rest."""
+    are not None; the dataclass holds the defaults and validates the rest.
+    A parameter the strategy has no field for is rejected, not dropped."""
     cls = kinds.get(kind)
     if cls is None:
         raise SpecError(f"unknown {stage} strategy {kind!r}")
     names = [f.name for f in fields(cls)]
+    extra = [p for p in params[len(names):] if p is not None]
+    if extra:
+        raise SpecError(f"{stage} strategy {kind!r} has no parameter for "
+                        f"{extra}; it takes {names or 'none'}")
     try:
         return cls(**{name: p for name, p in zip(names, params) if p is not None})
     except FdasError as exc:
@@ -53,8 +58,8 @@ def make_conv_strategy(kind: str, param: int | None = None):
 
 
 def make_hm_strategy(kind: str, cols: int | None = None, ppi: int | None = None):
-    """Parallel lanes (single) or columns per group from ``cols``, points per
-    work item (multi-r) from ``ppi``."""
+    """Columns per group (multi-n, multi-r) from ``cols``, points per work
+    item (multi-r) from ``ppi``."""
     return _make_strategy(hm.HM_KINDS, "harmonic", kind, cols, ppi)
 
 
@@ -68,8 +73,6 @@ class RunSpec:
     hm_kind: str = "naive-multi"
     hm_cols: int | None = None
     hm_ppi: int | None = None
-    prep_path: str = "device"
-    prep_ops: tuple | None = None  # explicit override, validated
     n_devices: int = 1
     scheme: str = "multi-input"
     seed: int = 0
@@ -87,24 +90,10 @@ class RunSpec:
             raise SpecError("threads must be >= 1")
         if self.scheme not in pl.SCHEMES:
             raise SpecError(f"scheme must be one of {pl.SCHEMES}")
-        if self.prep_path not in ("device", "host"):
-            raise SpecError("prep path must be 'device' or 'host'")
 
     def strategies(self):
         conv_s = make_conv_strategy(self.conv_kind, self.conv_param)
         hm_s = make_hm_strategy(self.hm_kind, self.hm_cols, self.hm_ppi)
-        needed = prep.required_transforms(conv_s, hm_s)
-        if self.prep_ops is not None:
-            ops = set(self.prep_ops)
-            unknown = ops - {"discard", "transpose", "reorder"}
-            if unknown:
-                raise SpecError(f"unknown prep ops {sorted(unknown)}")
-            wanted = {name for name, b in
-                      zip(("discard", "transpose", "reorder"), needed) if b}
-            if ops != wanted:
-                raise SpecError(
-                    f"{self.conv_kind}+{self.hm_kind} requires prep ops "
-                    f"{sorted(wanted) or ['none']}, got {sorted(ops) or ['none']}")
         n_tap_cap = self.config.n_tap
         if isinstance(conv_s, conv.OlsFd) and conv_s.chunk <= n_tap_cap - 1:
             raise SpecError(
@@ -138,12 +127,11 @@ def execute(spec: RunSpec):
     result, st = conv.convolve_bank(series, bank, conv_s,
                                     filters_per_launch=spec.filters_per_launch,
                                     threads=spec.threads)
-    pr = prep.prepare(result, conv_s, hm_s, cfg.n_hp, path=spec.prep_path)
+    pr = prep.prepare(result, conv_s, hm_s, cfg.n_hp)
     st.t_discard, st.t_transpose, st.t_reorder = (pr.t_discard, pr.t_transpose,
                                                   pr.t_reorder)
     st.b_discard, st.b_transpose, st.b_reorder = (pr.b_discard, pr.b_transpose,
                                                   pr.b_reorder)
-    st.prep_path = pr.path
     if spec.threshold is not None:
         thresholds = hm.ThresholdTable.constant(spec.threshold, cfg.n_hp,
                                                 pr.fop.n_templates)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .core import FdasError
@@ -34,6 +34,10 @@ class StageTiming:
     is a single span. ``demands`` maps stage names ('ft', 'discard',
     'transpose', 'reorder', 'hm') to off-chip bandwidth demand in bytes/s and
     may be left empty when contention is not modelled.
+
+    The fields are the ``timing.json`` record, in file order; ``to_dict``
+    appends the derived totals t_ft, t_fop and t_fdas. Every ``t_*`` field is
+    a time and must be >= 0.
     """
 
     per_launch: list = field(default_factory=list)
@@ -47,7 +51,6 @@ class StageTiming:
     b_reorder: bool = False
     t_hm: float = 0.0
     demands: dict = field(default_factory=dict)
-    prep_path: str = "device"
     input_transforms: int = 0
     points_read: int = 0
     plane_writes: int = 0
@@ -56,10 +59,9 @@ class StageTiming:
         self.per_launch = [float(t) for t in self.per_launch]
         if any(t < 0 for t in self.per_launch):
             raise ModelError("per-launch times must be >= 0")
-        for name in ("t_klo", "t_input_transform", "t_discard", "t_transpose",
-                     "t_reorder", "t_hm"):
-            if getattr(self, name) < 0:
-                raise ModelError(f"{name} must be >= 0")
+        for f in fields(self):
+            if f.name.startswith("t_") and getattr(self, f.name) < 0:
+                raise ModelError(f"{f.name} must be >= 0")
 
     @classmethod
     def from_totals(cls, t_ft: float, t_fop: float, t_hm: float,
@@ -91,37 +93,15 @@ class StageTiming:
         return (self.t_ft, self.t_fop, self.t_hm)
 
     def to_dict(self) -> dict:
-        return {
-            "per_launch": list(self.per_launch),
-            "t_klo": self.t_klo,
-            "t_input_transform": self.t_input_transform,
-            "t_discard": self.t_discard,
-            "t_transpose": self.t_transpose,
-            "t_reorder": self.t_reorder,
-            "b_discard": self.b_discard,
-            "b_transpose": self.b_transpose,
-            "b_reorder": self.b_reorder,
-            "t_hm": self.t_hm,
-            "demands": dict(self.demands),
-            "prep_path": self.prep_path,
-            "input_transforms": self.input_transforms,
-            "points_read": self.points_read,
-            "plane_writes": self.plane_writes,
-            "t_ft": self.t_ft,
-            "t_fop": self.t_fop,
-            "t_fdas": self.t_fdas,
-        }
+        return {**asdict(self), "t_ft": self.t_ft, "t_fop": self.t_fop,
+                "t_fdas": self.t_fdas}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StageTiming":
-        """Accepts either the full breakdown or bare stage totals."""
+        """Accepts either the full breakdown or bare stage totals; keys that
+        are not fields (the derived totals, retired keys) are ignored."""
         if "per_launch" in raw:
-            kwargs = {k: raw[k] for k in (
-                "per_launch", "t_klo", "t_input_transform", "t_discard",
-                "t_transpose", "t_reorder", "b_discard", "b_transpose",
-                "b_reorder", "t_hm", "demands", "prep_path",
-                "input_transforms", "points_read", "plane_writes") if k in raw}
-            return cls(**kwargs)
+            return cls(**{f.name: raw[f.name] for f in fields(cls) if f.name in raw})
         return cls.from_totals(raw.get("t_ft", 0.0), raw.get("t_fop", 0.0),
                                raw.get("t_hm", 0.0), raw.get("demands"))
 
@@ -176,7 +156,7 @@ class PipelinePlan:
 
 def total_latency(st: StageTiming) -> float:
     """Single-input-array latency: the sum of the three stage latencies."""
-    return st.t_ft + st.t_fop + st.t_hm
+    return st.t_fdas
 
 
 def choose_buffering(st: StageTiming) -> int:
@@ -246,38 +226,30 @@ def simulate_overlap(streams: list, bandwidth: float) -> list:
     t = 0.0
     while not all(done):
         heads = [(s, queues[s][0][1]) for s in range(n) if not done[s]]
-        # drop zero-duration heads immediately
-        zero = [s for s, _ in heads if remaining[s] <= 0]
-        if zero:
-            for s in zero:
-                queues[s].pop(0)
-                eligible[s] = t
-                if queues[s]:
-                    remaining[s] = queues[s][0][0]
-                else:
-                    done[s] = True
-                    completion[s] = t
-            continue
-        over = [(eligible[s], s) for s, dem in heads if dem > bandwidth]
-        if over:
-            active = [min(over)[1]]
-            factor = 1.0
-        else:
-            active = [s for s, _ in heads]
-            total = sum(dem for _, dem in heads)
-            factor = max(1.0, total / bandwidth)
-        dt = min(remaining[s] * factor for s in active)
-        t += dt
-        for s in active:
-            remaining[s] -= dt / factor
-            if remaining[s] <= 1e-12 * dt:
-                queues[s].pop(0)
-                eligible[s] = t
-                if queues[s]:
-                    remaining[s] = queues[s][0][0]
-                else:
-                    done[s] = True
-                    completion[s] = t
+        # zero-duration heads finish at once, without advancing time
+        finished = [s for s, _ in heads if remaining[s] <= 0]
+        if not finished:
+            over = [(eligible[s], s) for s, dem in heads if dem > bandwidth]
+            if over:
+                active = [min(over)[1]]
+                factor = 1.0
+            else:
+                active = [s for s, _ in heads]
+                total = sum(dem for _, dem in heads)
+                factor = max(1.0, total / bandwidth)
+            dt = min(remaining[s] * factor for s in active)
+            t += dt
+            for s in active:
+                remaining[s] -= dt / factor
+            finished = [s for s in active if remaining[s] <= 1e-12 * dt]
+        for s in finished:  # pop the head; load the next task or finish
+            queues[s].pop(0)
+            eligible[s] = t
+            if queues[s]:
+                remaining[s] = queues[s][0][0]
+            else:
+                done[s] = True
+                completion[s] = t
     return completion
 
 

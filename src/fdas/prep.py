@@ -263,24 +263,20 @@ class PrepResult:
     t_discard: float = 0.0
     t_transpose: float = 0.0
     t_reorder: float = 0.0
-    path: str = "device"
 
     @property
     def t_total(self) -> float:
         return self.t_discard + self.t_transpose + self.t_reorder
 
 
-def prepare(result, conv_strategy, hm_strategy, n_hp: int,
-            path: str = "device") -> PrepResult:
+def prepare(result, conv_strategy, hm_strategy, n_hp: int) -> PrepResult:
     """Apply exactly the transforms the combination needs, timing each one.
 
-    ``path`` attributes the work to the host processor or the device for the
-    throughput model; the numbers produced are identical on both paths. When
-    no transform is needed the input plane passes through untouched and the
-    preparation cost is zero.
+    The transforms are those ``required_transforms`` derives from the
+    combination; their flags and wall times become the preparation stage of
+    the throughput model. When no transform is needed the input plane passes
+    through untouched and the preparation cost is zero.
     """
-    if path not in ("device", "host"):
-        raise PrepError(f"prep path must be 'device' or 'host', got {path!r}")
     b1, b2, b3 = required_transforms(conv_strategy, hm_strategy)
     t_discard = t_transpose = t_reorder = 0.0
 
@@ -307,4 +303,4 @@ def prepare(result, conv_strategy, hm_strategy, n_hp: int,
         t_reorder = time.perf_counter() - t0
     return PrepResult(plane=plane, fop=fop, b_discard=b1, b_transpose=b2,
                       b_reorder=b3, t_discard=t_discard, t_transpose=t_transpose,
-                      t_reorder=t_reorder, path=path)
+                      t_reorder=t_reorder)

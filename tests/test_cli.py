@@ -85,22 +85,20 @@ class TestRun:
                           (out / "candidates.csv").read_bytes()))
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_matrix_violation_exits_2(self, tmp_path, desk_config):
-        # the block-streaming method cannot run without the reorder step
-        rc = run_cli("run", "--config", desk_config, "--out", str(tmp_path / "x"),
-                     "--hm", "multi-r", "--prep-ops", "discard,transpose")
-        assert rc == 2
-
     def test_bad_chunk_exits_2(self, tmp_path, desk_config):
         rc = run_cli("run", "--config", desk_config, "--out", str(tmp_path / "x"),
                      "--conv", "ols-fd", "--conv-param", "8")
         assert rc == 2
 
     @pytest.mark.parametrize("flags", [("--conv", "ola-td", "--conv-param", "0"),
-                                       ("--hm", "multi-r", "--hm-cols", "0")])
+                                       ("--hm", "multi-r", "--hm-cols", "0"),
+                                       ("--conv", "naive-td", "--conv-param", "7"),
+                                       ("--hm", "naive-multi", "--hm-ppi", "0"),
+                                       ("--hm", "single", "--hm-cols", "4")])
     def test_zero_strategy_parameter_exits_2(self, tmp_path, desk_config,
                                              flags):
-        # 0 is a value to validate, not a request for the default
+        # 0 is a value to validate, not a request for the default; a parameter
+        # the strategy does not take would have no effect
         rc = run_cli("run", "--config", desk_config, "--out", str(tmp_path / "x"),
                      *flags)
         assert rc == 2
@@ -226,15 +224,6 @@ class TestRunSpecValidation:
     def test_rejects_bad_devices(self):
         with pytest.raises(SpecError):
             RunSpec(config=FdasConfig.desk_scale(), n_devices=0)
-
-    def test_prep_ops_must_match_matrix(self):
-        spec = RunSpec(config=FdasConfig.desk_scale(), conv_kind="ola-td",
-                       hm_kind="multi-n", prep_ops=("transpose",))
-        spec.strategies()  # transpose is exactly what this pair needs
-        bad = RunSpec(config=FdasConfig.desk_scale(), conv_kind="ola-td",
-                      hm_kind="multi-n", prep_ops=("reorder",))
-        with pytest.raises(SpecError):
-            bad.strategies()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_strategy_choices_are_the_registries(self, command):

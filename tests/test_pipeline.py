@@ -64,14 +64,36 @@ class TestStageTiming:
     def test_negative_rejected(self):
         with pytest.raises(ModelError):
             StageTiming(per_launch=[-1.0])
-        with pytest.raises(ModelError):
-            StageTiming(t_hm=-0.1)
+        for name in ("t_klo", "t_input_transform", "t_discard", "t_transpose",
+                     "t_reorder", "t_hm"):
+            with pytest.raises(ModelError):
+                StageTiming(**{name: -0.1})
 
     def test_dict_round_trip(self):
         st = StageTiming(per_launch=[0.1, 0.2], t_klo=0.01, t_discard=0.3,
                          b_discard=True, t_hm=0.5, demands={"ft": 1e9})
         back = StageTiming.from_dict(json.loads(json.dumps(st.to_dict())))
         assert back.to_dict() == st.to_dict()
+
+    def test_record_keys_and_order(self):
+        # the timing.json keys: the fields in order, then the derived totals
+        assert list(StageTiming().to_dict()) == [
+            "per_launch", "t_klo", "t_input_transform", "t_discard",
+            "t_transpose", "t_reorder", "b_discard", "b_transpose", "b_reorder",
+            "t_hm", "demands", "input_transforms", "points_read",
+            "plane_writes", "t_ft", "t_fop", "t_fdas"]
+
+    def test_reads_record_with_retired_prep_path(self):
+        raw = {"per_launch": [0.25, 0.5], "t_klo": 0.0,
+               "t_input_transform": 0.125, "t_discard": 0.0625,
+               "t_transpose": 0.0, "t_reorder": 0.0, "b_discard": True,
+               "b_transpose": False, "b_reorder": False, "t_hm": 1.0,
+               "demands": {"ft": 2e9, "hm": 1e9}, "prep_path": "host",
+               "input_transforms": 3, "points_read": 4096,
+               "plane_writes": 0, "t_ft": 0.875, "t_fop": 0.0625,
+               "t_fdas": 1.9375}
+        st = StageTiming.from_dict(raw)
+        assert st.to_dict() == {k: v for k, v in raw.items() if k != "prep_path"}
 
     def test_totals_form(self):
         st = totals(1.0, 2.0, 3.0)

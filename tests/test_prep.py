@@ -253,10 +253,3 @@ class TestPrepare:
         raw, _ = convolve_bank(x, bank, OlsFd(64))
         with pytest.raises(PrepError):
             prepare(raw, NaiveTd(), SingleHp(), n_hp=2)
-
-    def test_host_path_attribution(self, rng):
-        fop = Fop(random_plane(rng, 3, 16))
-        pr = prepare(fop, OlaTd(8), MultipleHpN(2), n_hp=2, path="host")
-        assert pr.path == "host"
-        with pytest.raises(PrepError):
-            prepare(fop, OlaTd(8), MultipleHpN(2), n_hp=2, path="gpu")
