@@ -8,7 +8,6 @@ from .core import (ConfigError, FdasConfig, FdasError, FilterBank, Fop,
 from .convolution import (ConvRawOutput, NaiveFd, NaiveTd, OlaTd, OlsFd,
                           convolve_bank, fir_naive_td, fir_ols_fd,
                           power_spectrum)
-from .dft import DftPlan
 from .harmonic import (CandidateList, MultipleHpN, MultipleHpR,
                        NaiveMultipleHp, SingleHp, ThresholdTable, harmonic_sum,
                        harmonic_sum_naive, stretch_lookup)

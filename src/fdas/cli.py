@@ -150,17 +150,18 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dev = pl.DeviceModel.nominal()
+    cfg = _load_cfg(args)
     if args.timings:
         rows = pl.load_timing_rows(args.timings)
         plane_bytes = 0
     else:
-        cfg = _load_cfg(args)
         combos = [(c, h)
                   for c in (harness.ALL_CONV if args.conv is None else [args.conv])
                   for h in (harness.ALL_HM if args.hm is None else [args.hm])]
         rows, plane_bytes = harness.measure_sweep(
             cfg, combos, reps=args.reps, threads=args.threads, seed=args.seed)
-    report = pl.sweep(rows, dev, n_devices=args.devices, plane_bytes=plane_bytes)
+    report = pl.sweep(rows, dev, n_devices=args.devices, plane_bytes=plane_bytes,
+                      t_limit=cfg.t_limit)
     pl.write_report_json(report, out / "report.json")
     pl.write_report_csv(report, out / "report.csv")
     for row in report:

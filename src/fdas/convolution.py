@@ -6,9 +6,10 @@ frequency-domain convolution, and chunked overlap-save. All use the causal
 zero-history boundary (x[i-j] = 0 for i-j < 0) and agree on the resulting
 filter-output plane within single-precision tolerance.
 
-Both frequency-domain routes run one kernel: the input chunks are
-transformed once in one batched call, and each template is one forward
-transform, a broadcast multiply and one batched inverse over all chunks.
+Both frequency-domain routes run one kernel on numpy's FFT, called only
+through ``dft``: the input chunks are transformed once in one batched call,
+and each template is one forward transform, a broadcast multiply and one
+batched inverse over all chunks.
 ``naive-fd`` is its one-chunk case, with no overlap and a chunk that holds
 the whole linear convolution. The inverse runs per template, never over the
 whole bank at once, so the working set stays one template's chunks.
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FdasError, FilterBank, Fop, as_series, is_pow2, next_pow2
-from .dft import DftPlan, dft
 from .pipeline import StageTiming
 
 
@@ -78,6 +78,12 @@ CONV_KINDS = {"naive-td": NaiveTd, "ola-td": OlaTd, "naive-fd": NaiveFd,
 
 
 # --- elementary operations --------------------------------------------------------
+
+def dft(x, inverse: bool = False) -> np.ndarray:
+    """Transform along the last axis: exp(-2*pi*i*j*k/N) unscaled forward,
+    the conjugate kernel scaled by 1/N inverse."""
+    return np.fft.ifft(x) if inverse else np.fft.fft(x)
+
 
 def power_spectrum(y) -> np.ndarray:
     """Elementwise power re^2 + im^2 (float32 for complex64 input)."""
@@ -165,7 +171,7 @@ def _chunk_spectra(x: np.ndarray, chunk: int, overlap: int) -> np.ndarray:
     padded = np.zeros(overlap + n_chunks * advance, dtype=np.complex128)
     padded[overlap: overlap + x.size] = x
     chunks = np.lib.stride_tricks.sliding_window_view(padded, chunk)[::advance]
-    return dft(DftPlan(chunk, "forward"), chunks)
+    return dft(chunks)
 
 
 def _fd_template(spectra: np.ndarray, h: np.ndarray, size: int) -> np.ndarray:
@@ -174,8 +180,8 @@ def _fd_template(spectra: np.ndarray, h: np.ndarray, size: int) -> np.ndarray:
     template, a broadcast multiply and one batched inverse."""
     hh = np.zeros(size, dtype=np.complex128)
     hh[: h.size] = h
-    spectrum_h = dft(DftPlan(size, "forward"), hh)
-    return dft(DftPlan(size, "inverse"), spectra * spectrum_h).astype(np.complex64)
+    spectrum_h = dft(hh)
+    return dft(spectra * spectrum_h, inverse=True).astype(np.complex64)
 
 
 def assemble_ols(raw: ConvRawOutput, template: int = 0) -> np.ndarray:

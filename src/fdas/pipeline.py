@@ -175,7 +175,11 @@ def ideal_period(st: StageTiming, buffering: int) -> float:
     stage against the other two, giving max(longest, total - longest). No
     buffering processes arrays serially.
     """
-    stages = st.stage_times()
+    return _buffered_period(st.stage_times(), buffering)
+
+
+def _buffered_period(stages, buffering: int) -> float:
+    """The buffering rule applied to the (ft, fop, hm) stage durations."""
     longest = max(stages)
     if buffering == 3:
         return longest
@@ -264,18 +268,15 @@ def contended_period(st: StageTiming, dev: DeviceModel, buffering: int) -> float
     """
     streams = _stage_streams(st)
     bw = dev.global_memory_bandwidth
-    if buffering == 1:
-        return total_latency(st)
     if buffering == 3:
-        comp = simulate_overlap([streams["ft"], streams["fop"], streams["hm"]], bw)
-        return max(comp)
-    if buffering == 2:
+        stages = simulate_overlap([streams["ft"], streams["fop"], streams["hm"]], bw)
+    elif buffering == 2:
         c_ft, c_fop1 = simulate_overlap([streams["ft"], streams["fop"]], bw)
         c_fop2, c_hm = simulate_overlap([streams["fop"], streams["hm"]], bw)
-        t_ft, t_fop, t_hm = c_ft, max(c_fop1, c_fop2), c_hm
-        longest = max(t_ft, t_fop, t_hm)
-        return max(longest, t_ft + t_fop + t_hm - longest)
-    raise ModelError(f"buffering must be 1, 2 or 3, got {buffering}")
+        stages = (c_ft, max(c_fop1, c_fop2), c_hm)
+    else:
+        stages = st.stage_times()
+    return _buffered_period(stages, buffering)
 
 
 # --- multiple devices -----------------------------------------------------------
@@ -339,7 +340,7 @@ def plan_pipeline(st: StageTiming, dev: DeviceModel | None = None,
 
 
 def sweep(rows: list, dev: DeviceModel | None = None, n_devices: int = 1,
-          plane_bytes: float = 0.0) -> list:
+          plane_bytes: float = 0.0, t_limit: float | None = None) -> list:
     """Evaluate (name, StageTiming) combinations and rank them by period.
 
     Returns report rows sorted by contended period (ties keep input order).
@@ -348,8 +349,8 @@ def sweep(rows: list, dev: DeviceModel | None = None, n_devices: int = 1,
         raise ModelError("sweep needs at least one combination")
     report = []
     for name, st in rows:
-        plan = plan_pipeline(st, dev, plane_bytes, n_devices)
-        p_ideal = ideal_period(st, plan.buffering)
+        plan = plan_pipeline(st, dev, plane_bytes, n_devices, t_limit=t_limit)
+        p_ideal = plan.period
         p_cont = (contended_period(st, dev, plan.buffering)
                   if dev is not None else p_ideal)
         multi = {scheme: multi_device_period(st, n_devices, scheme, dev=dev,

@@ -235,11 +235,12 @@ def required_transforms(conv_strategy, hm_strategy) -> tuple[bool, bool, bool]:
     raw-template orientation directly after a time-domain kernel, but the
     chunked frequency path hands them a transposed plane.
     """
+    from .harmonic import HM_KINDS  # harmonic imports this module
+
     hm_kind = getattr(hm_strategy, "kind", None)
-    if hm_kind not in ("single", "naive-multi", "multi-n", "multi-r"):
+    if hm_kind not in HM_KINDS:
         raise PrepError(f"unknown harmonic strategy {hm_strategy!r}")
-    chunked = isinstance(conv_strategy, OlsFd) or (
-        getattr(conv_strategy, "kind", None) == "ols-fd")
+    chunked = isinstance(conv_strategy, OlsFd)
     b_discard = chunked
     if hm_kind in ("multi-n", "multi-r"):
         b_transpose = True
@@ -298,8 +299,7 @@ def prepare(result, conv_strategy, hm_strategy, n_hp: int) -> PrepResult:
         t_transpose = time.perf_counter() - t0
     if b3:
         t0 = time.perf_counter()
-        plane = reorder(plane if isinstance(plane, Fop) else fop,
-                        hm_strategy.cols_per_group, n_hp)
+        plane = reorder(plane, hm_strategy.cols_per_group, n_hp)
         t_reorder = time.perf_counter() - t0
     return PrepResult(plane=plane, fop=fop, b_discard=b1, b_transpose=b2,
                       b_reorder=b3, t_discard=t_discard, t_transpose=t_transpose,

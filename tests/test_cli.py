@@ -185,6 +185,20 @@ class TestSweep:
         got = {r["combination"]: r["t_fdas"] for r in report}
         assert got == {"platform-a": 1029, "platform-b": 972}
 
+    def test_tight_time_limit_notes_rows(self, tmp_path):
+        # the config's t_limit reaches the sweep as it reaches `fdas run`
+        cfg_path = tmp_path / "cfg.json"
+        save_config(FdasConfig.desk_scale(**DESK, t_limit=0.05), cfg_path)
+        tfile = tmp_path / "timings.json"
+        tfile.write_text(json.dumps(
+            [{"combination": "platform-a", "t_ft": 347, "t_fop": 560, "t_hm": 122}]))
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--timings", str(tfile), "--config", str(cfg_path),
+                       "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert all(any("reconfig" in note for note in row["notes"])
+                   for row in report)
+
     def test_malformed_timings_exit_2(self, tmp_path):
         tfile = tmp_path / "bad.json"
         tfile.write_text("{oops")
