@@ -4,10 +4,11 @@ The plane is stretched by each integer k (truncation toward zero on the
 signed template axis, floor on the channel axis), the stretched planes are
 summed cumulatively, and points exceeding their per-(harmonic, template)
 threshold are collected, capped per harmonic. The brute-force accumulation is
-the reference; the traversal-optimised variants differ only in working-set
-shape and access statistics and must emit bit-identical candidate lists. The
-blocked traversals (``multi-n``, ``multi-r``) run over column tiles of about
-``prep.TILE_POINTS`` plane points, so their time is linear in the plane size.
+the reference. The four traversal strategies share one accumulation over
+column tiles of about ``prep.TILE_POINTS`` plane points, so their time is
+linear in the plane size; they differ only in the source they read (the plane
+or the reordered plane), the column-group width a tile is made of, and the
+memory traffic they model, and must emit bit-identical candidate lists.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class HarmonicError(FdasError):
 
 @dataclass(frozen=True)
 class SingleHp:
-    """One harmonic plane at a time, materialising every plane it builds."""
+    """One harmonic plane at a time; the write of each plane is modelled."""
 
     kind = "single"
 
@@ -169,16 +170,6 @@ class CandidateList:
         out["channel"] = c[sel]
         out["power"] = p[sel]
         return cls(out, n_cand)
-
-    @classmethod
-    def merge(cls, lists, n_cand: int) -> "CandidateList":
-        """Deterministic merge: union, canonical sort, truncate per harmonic."""
-        parts = [l.entries for l in lists if l.entries.size]
-        if not parts:
-            return cls(np.empty(0, dtype=CANDIDATE_DTYPE), n_cand)
-        allp = np.concatenate(parts)
-        return cls.from_points(allp["harmonic"], allp["template"],
-                               allp["channel"], allp["power"], n_cand)
 
     def __len__(self) -> int:
         return self.entries.size
@@ -328,68 +319,60 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
     """Run one traversal strategy; candidates match the reference exactly.
 
     The block-streaming strategy needs the reordered plane; the others need a
-    standard plane (either orientation). Strategies differ only in traversal,
-    working-set shape, and the access statistics reported. ``stats.elapsed``
-    is the wall span of the whole call, candidate selection included.
+    standard plane (either orientation). All accumulate over the same bounded
+    tiles, differing in source reader, tile group width and access statistics.
+    ``stats.elapsed`` is the wall span of the whole call, selection included.
     """
     t_start = time.perf_counter()
-    n_hp, n_cand = config.n_hp, config.n_cand
-    coll = _Collector()
+    n_hp = config.n_hp
     stats = HmRunStats()
-
-    if isinstance(strategy, MultipleHpR):
-        if not isinstance(plane, RFop):
-            raise HarmonicError("block-streaming strategy needs a reordered plane")
-        rfop = plane
-        if rfop.n_hp != n_hp:
-            raise HarmonicError(
-                f"reordered plane carries {rfop.n_hp} harmonics, config wants {n_hp}")
-        if strategy.cols_per_group != rfop.block_cols:
-            raise HarmonicError(
-                f"strategy processes {strategy.cols_per_group} columns per group "
-                f"but the reordered plane has {rfop.block_cols}-column blocks")
-        rows = rfop.n_rows
-        _check_thresholds(thresholds, n_hp, rows)
-        _accumulate(rfop.stretched, rfop.n_chan, _tile_cols(rows, rfop.block_cols),
-                    n_hp, coll, thresholds, signed_range(rows))
-        stats.points_read = rfop.total_points  # blocks stream whole, pad included
-        candidates = coll.finish(n_cand)
-        stats.elapsed = time.perf_counter() - t_start
-        return candidates, stats
+    if isinstance(strategy, MultipleHpR) != isinstance(plane, RFop):
+        raise HarmonicError(f"{strategy!r} cannot run on {type(plane).__name__}:"
+                            " multi-r, and only multi-r, needs the reordered plane")
 
     if isinstance(plane, RFop):
-        raise HarmonicError(
-            f"{strategy.kind} needs a standard plane, not the reordered layout")
-    if not isinstance(plane, Fop):
-        raise HarmonicError(f"cannot run harmonic summing on {type(plane).__name__}")
-    tm = plane.template_major()
-    rows, cols = tm.shape
-    _check_thresholds(thresholds, n_hp, rows)
-    signed = signed_range(rows)
-    row_maps = {k: stretch_rows(rows, k) for k in range(1, n_hp + 1)}
-
-    def read_plane(k, c):  # only the source columns the tile needs
-        lo = c[0] // k
-        return tm[:, lo:c[-1] // k + 1][row_maps[k]][:, c // k - lo]
-
-    if isinstance(strategy, (SingleHp, NaiveMultipleHp)):
-        # every harmonic reads the whole plane, no reuse; single also writes
-        # each harmonic plane it builds off-chip
-        _accumulate(read_plane, cols, cols, n_hp, coll, thresholds, signed)
-        stats.points_read = n_hp * rows * cols
-        if isinstance(strategy, SingleHp):
-            stats.plane_writes = stats.points_read
-    elif isinstance(strategy, MultipleHpN):
-        # each column group loads the distinct stretched rows of its sections
-        g = strategy.cols_per_group
-        _accumulate(read_plane, cols, _tile_cols(rows, g), n_hp, coll,
-                    thresholds, signed)
-        _, width, _, _ = _section_geometry(cols, g, n_hp, rows)
-        distinct = [np.unique(row_maps[k]).size for k in range(1, n_hp + 1)]
-        stats.points_read = int(width.sum(axis=0) @ distinct)
+        if plane.n_hp != n_hp:
+            raise HarmonicError(
+                f"reordered plane carries {plane.n_hp} harmonics, config wants {n_hp}")
+        if strategy.cols_per_group != plane.block_cols:
+            raise HarmonicError(
+                f"strategy processes {strategy.cols_per_group} columns per group "
+                f"but the reordered plane has {plane.block_cols}-column blocks")
+        rows, cols, group = plane.n_rows, plane.n_chan, plane.block_cols
+        read = plane.stretched
+        stats.points_read = plane.total_points  # blocks stream whole, pad included
     else:
-        raise HarmonicError(f"unknown harmonic strategy {strategy!r}")
+        if not isinstance(plane, Fop):
+            raise HarmonicError(
+                f"cannot run harmonic summing on {type(plane).__name__}")
+        tm = plane.template_major()
+        rows, cols = tm.shape
+        row_maps = {k: stretch_rows(rows, k) for k in range(1, n_hp + 1)}
 
-    candidates = coll.finish(n_cand)
+        def read(k, c):  # only the source columns the tile needs
+            lo = c[0] // k
+            return tm[:, lo:c[-1] // k + 1][row_maps[k]][:, c // k - lo]
+
+        if isinstance(strategy, (SingleHp, NaiveMultipleHp)):
+            # every harmonic reads the whole plane, no reuse; single also
+            # writes each harmonic plane it builds off-chip
+            group = 1
+            stats.points_read = n_hp * rows * cols
+            if isinstance(strategy, SingleHp):
+                stats.plane_writes = stats.points_read
+        elif isinstance(strategy, MultipleHpN):
+            # each column group loads the distinct stretched rows of its sections
+            group = strategy.cols_per_group
+            _, width, _, _ = _section_geometry(cols, group, n_hp, rows)
+            distinct = [np.unique(row_maps[k]).size for k in range(1, n_hp + 1)]
+            stats.points_read = int(width.sum(axis=0) @ distinct)
+        else:
+            raise HarmonicError(f"unknown harmonic strategy {strategy!r}")
+
+    _check_thresholds(thresholds, n_hp, rows)
+    coll = _Collector()
+    _accumulate(read, cols, _tile_cols(rows, group), n_hp, coll, thresholds,
+                signed_range(rows))
+    candidates = coll.finish(config.n_cand)
     stats.elapsed = time.perf_counter() - t_start
     return candidates, stats

@@ -84,10 +84,12 @@ class RunSpec:
     n_templates: int | None = None
 
     def __post_init__(self):
-        if self.n_devices < 1:
-            raise SpecError("n_devices must be >= 1")
-        if self.threads < 1:
-            raise SpecError("threads must be >= 1")
+        for name in ("n_devices", "threads", "filters_per_launch", "n_templates"):
+            value = getattr(self, name)  # n_templates None: from the config
+            if value is not None and value < 1:
+                raise SpecError(f"{name} must be >= 1")
+        if self.noise_sigma < 0:
+            raise SpecError("noise_sigma must be >= 0")
         if self.scheme not in pl.SCHEMES:
             raise SpecError(f"scheme must be one of {pl.SCHEMES}")
 
@@ -148,14 +150,14 @@ def execute(spec: RunSpec):
 
 
 def run_pipeline(spec: RunSpec, out_dir) -> dict:
-    """Execute the spec and write fop/candidates/timing/plan artifacts."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Execute the spec, then write fop/candidates/timing/plan artifacts."""
     fop, candidates, st, _ = execute(spec)
     dev = pl.DeviceModel.nominal()
     plan = pl.plan_pipeline(st, dev, plane_bytes=fop.nbytes,
                             n_devices=spec.n_devices, scheme=spec.scheme,
                             t_limit=spec.config.t_limit)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "fop": out / "fop.fop",
         "candidates": out / "candidates.csv",
@@ -289,8 +291,9 @@ def verification_checks(scale: int = 2 ** 10, seed: int = 0,
 # --- measured sweep -----------------------------------------------------------------
 
 def measure_sweep(config: FdasConfig, combos: list | None = None, reps: int = 5,
-                  threads: int = 1, seed: int = 0) -> list:
-    """Time every combination end-to-end; median-latency rep feeds the model."""
+                  threads: int = 1, seed: int = 0) -> tuple[list, int]:
+    """Time every combination end-to-end; returns the (name, median-latency
+    StageTiming) rows that feed the model and the plane's byte size."""
     if combos is None:
         combos = [(c, h) for c in ALL_CONV for h in ALL_HM]
     if not combos:

@@ -6,25 +6,21 @@ flips the plane orientation, and reorder builds the duplicated/padded
 streaming layout consumed by the block-streaming harmonic strategy. Which
 subset fires is a fixed function of the (convolution, harmonic) combination;
 when none is needed the preparation is the identity with zero cost. Reorder
-and the block traversals of ``fdas.harmonic`` run over tiles of about
+and every traversal of ``fdas.harmonic`` run over tiles of about
 ``TILE_POINTS`` plane points: linear in plane size, with bounded index arrays.
 """
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .core import (FdasError, FormatError, Fop, is_pow2, next_pow2,
-                   signed_range, storage_row, template_offset)
+from .core import (FdasError, Fop, next_pow2, signed_range, storage_row,
+                   template_offset)
 from .convolution import ConvRawOutput, OlsFd, power_spectrum
-
-RFOP_MAGIC = b"RFP1"
 
 TILE_POINTS = 1 << 16  # plane points per tile of whole blocks
 
@@ -101,25 +97,15 @@ class RFop:
     k = 1..n_hp a row-major (template row x source column) section holds
     every source point those output columns need, rows stretched per template
     (duplicates included), columns covering floor(c0/k)..floor((c1-1)/k).
-    Blocks are padded with zeros to one common power-of-two length.
+    Blocks are padded with zeros to one common power-of-two length. The
+    layout lives in memory only; ``reorder`` builds it.
     """
 
     blocks: np.ndarray  # (n_blocks, block_len) float32
     block_cols: int
     n_hp: int
-    n_rows: int | None = None
-    n_chan: int | None = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.blocks, dtype=np.float32)
-        if arr.ndim != 2:
-            raise FormatError("rFOP blocks must form a 2-D array")
-        if not is_pow2(arr.shape[1]):
-            raise FormatError(
-                f"rFOP block length must be a power of two, got {arr.shape[1]}")
-        self.blocks = arr
-        if self.block_cols < 1 or self.n_hp < 1:
-            raise FormatError("block_cols and n_hp must be >= 1")
+    n_rows: int
+    n_chan: int
 
     @property
     def n_blocks(self) -> int:
@@ -135,16 +121,9 @@ class RFop:
 
     @cached_property
     def geometry(self):
-        """``_section_geometry`` of this plane, checked against the blocks."""
-        if self.n_rows is None or self.n_chan is None:
-            raise PrepError("rFOP loaded without plane geometry; "
-                            "supply n_rows and n_chan")
-        geo = _section_geometry(self.n_chan, self.block_cols, self.n_hp,
-                                self.n_rows)
-        if geo[0].shape[0] != self.n_blocks or geo[3] > self.block_len:
-            raise FormatError(f"rFOP blocks ({self.n_blocks} x {self.block_len})"
-                              f" do not fit a {self.n_rows} x {self.n_chan} plane")
-        return geo
+        """``_section_geometry`` of this plane."""
+        return _section_geometry(self.n_chan, self.block_cols, self.n_hp,
+                                 self.n_rows)
 
     def lookup(self, k: int, i: int, j: int) -> np.float32:
         """Stretched source value for harmonic k at (signed template i, col j).
@@ -152,7 +131,6 @@ class RFop:
         Pure layout arithmetic; returns exactly the float32 the source plane
         holds at (trunc(i/k), floor(j/k)).
         """
-        self.geometry  # raises unless n_rows and n_chan are known
         if not 1 <= k <= self.n_hp:
             raise PrepError(f"harmonic {k} out of range [1, {self.n_hp}]")
         if not 0 <= j < self.n_chan:
@@ -198,30 +176,6 @@ def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
             flat[start + row_step * w] = tm[row_map, lo[b, k - 1] + j]
     return RFop(blocks=blocks, block_cols=block_cols, n_hp=n_hp,
                 n_rows=rows, n_chan=cols)
-
-
-def save_rfop(rfop: RFop, path) -> None:
-    """Binary rFOP file: magic, u32 block_cols/n_hp/block_len/blocks, f32 LE."""
-    with open(path, "wb") as fh:
-        fh.write(RFOP_MAGIC)
-        fh.write(struct.pack("<IIII", rfop.block_cols, rfop.n_hp,
-                             rfop.block_len, rfop.n_blocks))
-        fh.write(np.ascontiguousarray(rfop.blocks, dtype="<f4").tobytes())
-
-
-def load_rfop(path, n_rows: int | None = None, n_chan: int | None = None) -> RFop:
-    blob = Path(path).read_bytes()
-    if len(blob) < 20 or blob[:4] != RFOP_MAGIC:
-        raise FormatError(f"{path}: not an rFOP file (bad magic)")
-    block_cols, n_hp, block_len, n_blocks = struct.unpack("<IIII", blob[4:20])
-    payload = blob[20:]
-    if len(payload) != n_blocks * block_len * 4:
-        raise FormatError(
-            f"{path}: header says {n_blocks} blocks of {block_len} points "
-            f"but file carries {len(payload) // 4}")
-    blocks = np.frombuffer(payload, dtype="<f4").reshape(n_blocks, block_len).copy()
-    return RFop(blocks=blocks, block_cols=block_cols, n_hp=n_hp,
-                n_rows=n_rows, n_chan=n_chan)
 
 
 # --- combination matrix -----------------------------------------------------------
@@ -280,17 +234,15 @@ def prepare(result, conv_strategy, hm_strategy, n_hp: int) -> PrepResult:
     """
     b1, b2, b3 = required_transforms(conv_strategy, hm_strategy)
     t_discard = t_transpose = t_reorder = 0.0
+    if b1 != isinstance(result, ConvRawOutput):
+        raise PrepError(
+            f"combination {'needs' if b1 else 'takes no'} chunked output to "
+            f"discard, got {type(result).__name__}")
 
+    t0 = time.perf_counter()
+    fop = fop_from(result)
     if b1:
-        if not isinstance(result, ConvRawOutput):
-            raise PrepError("combination expects chunked output to discard")
-        t0 = time.perf_counter()
-        fop = Fop(power_spectrum(discard(result)))
         t_discard = time.perf_counter() - t0
-    else:
-        if isinstance(result, ConvRawOutput):
-            raise PrepError("chunked output reached a combination without discard")
-        fop = result if not result.channel_major else transpose(result)
 
     plane: object = fop
     if b2:

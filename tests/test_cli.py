@@ -94,11 +94,15 @@ class TestRun:
                                        ("--hm", "multi-r", "--hm-cols", "0"),
                                        ("--conv", "naive-td", "--conv-param", "7"),
                                        ("--hm", "naive-multi", "--hm-ppi", "0"),
-                                       ("--hm", "single", "--hm-cols", "4")])
+                                       ("--hm", "single", "--hm-cols", "4"),
+                                       ("--filters-per-launch", "0"),
+                                       ("--templates", "0"),
+                                       ("--noise", "-1")])
     def test_zero_strategy_parameter_exits_2(self, tmp_path, desk_config,
                                              flags):
         # 0 is a value to validate, not a request for the default; a parameter
-        # the strategy does not take would have no effect
+        # the strategy does not take would have no effect. Run values outside
+        # their range are rejected the same way, before any output is made
         rc = run_cli("run", "--config", desk_config, "--out", str(tmp_path / "x"),
                      *flags)
         assert rc == 2

@@ -12,7 +12,7 @@ from fdas.harmonic import (CandidateList, HarmonicError, MultipleHpN,
                            MultipleHpR, NaiveMultipleHp, SingleHp,
                            ThresholdTable, harmonic_sum, harmonic_sum_naive,
                            stretch_lookup)
-from fdas.prep import TILE_POINTS, reorder, transpose
+from fdas.prep import TILE_POINTS, _tile_cols, reorder, transpose
 
 from conftest import random_plane
 
@@ -202,16 +202,6 @@ class TestCandidateList:
         with pytest.raises(HarmonicError, match="header"):
             CandidateList.from_csv(path, 4)
 
-    def test_merge_equals_global_selection(self, rng):
-        ks = rng.integers(1, 4, 200)
-        is_ = rng.integers(-3, 4, 200)
-        js = rng.integers(0, 50, 200)
-        ps = rng.standard_normal(200).astype(np.float32) ** 2
-        whole = CandidateList.from_points(ks, is_, js, ps, n_cand=5)
-        parts = [CandidateList.from_points(ks[sl], is_[sl], js[sl], ps[sl], 5)
-                 for sl in (slice(0, 77), slice(77, 140), slice(140, 200))]
-        assert CandidateList.merge(parts, 5).same_as(whole)
-
 
 def run_all_strategies(fop, table, cfg, block_cols=8):
     rfop = reorder(fop, block_cols, cfg.n_hp)
@@ -309,6 +299,8 @@ class TestStrategies:
             harmonic_sum(fop, MultipleHpR(8, 4), table, cfg)
         with pytest.raises(HarmonicError):
             harmonic_sum(rfop, SingleHp(), table, cfg)
+        with pytest.raises(HarmonicError):
+            harmonic_sum(rfop, object(), table, cfg)
 
     def test_block_width_mismatch(self, rng):
         cfg = cfg_for(5, 32)
@@ -320,7 +312,7 @@ class TestStrategies:
 
 
 class TestMultiTilePlane:
-    """Blocked traversals over a plane of several tiles (prep.TILE_POINTS)."""
+    """Every traversal over a plane of several tiles (prep.TILE_POINTS)."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -347,6 +339,30 @@ class TestMultiTilePlane:
         cands, _ = harmonic_sum(transpose(fop), MultipleHpN(block_cols), table,
                                 cfg)
         assert cands.same_as(ref)
+
+    @pytest.mark.parametrize("strategy", [SingleHp(), NaiveMultipleHp()],
+                             ids=lambda s: s.kind)
+    def test_plane_at_a_time_matches_reference(self, case, strategy):
+        fop, cfg, table, ref = case
+        cands, _ = harmonic_sum(transpose(fop), strategy, table, cfg)
+        assert cands.same_as(ref)
+
+    def test_every_strategy_accumulates_over_bounded_tiles(self, case,
+                                                          monkeypatch):
+        fop, cfg, table, _ = case
+        rows, cols = fop.values.shape
+        calls = []
+        monkeypatch.setattr(harmonic, "_accumulate",
+                            lambda read, n_cols, tile_cols, *rest:
+                            calls.append((n_cols, tile_cols)))
+        for plane, strategy, group in [
+                (fop, SingleHp(), 1), (fop, NaiveMultipleHp(), 1),
+                (fop, MultipleHpN(3), 3),
+                (reorder(fop, 16, cfg.n_hp), MultipleHpR(16, 4), 16)]:
+            calls.clear()
+            harmonic_sum(plane, strategy, table, cfg)
+            assert _tile_cols(rows, group) < cols  # the plane spans tiles
+            assert calls == [(cols, _tile_cols(rows, group))], strategy.kind
 
     @pytest.mark.parametrize("rows,cols,group_cols", [
         (9, 4096, 1), (21, 8192, 16), (21, 8192, 3), (17, 4096, 5)])

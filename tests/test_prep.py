@@ -6,12 +6,11 @@ import pytest
 from fdas.convolution import (ConvRawOutput, NaiveFd, NaiveTd, OlaTd, OlsFd,
                               convolve_bank, fir_naive_td, fir_ols_fd,
                               power_spectrum)
-from fdas.core import FilterBank, FormatError, Fop
+from fdas.core import FilterBank, Fop
 from fdas.harmonic import (MultipleHpN, MultipleHpR, NaiveMultipleHp, SingleHp,
                            stretch_lookup)
 from fdas.prep import (TILE_POINTS, PrepError, RFop, discard, fop_from,
-                       load_rfop, prepare, reorder, required_transforms,
-                       save_rfop, transpose)
+                       prepare, reorder, required_transforms, transpose)
 
 from conftest import random_plane, random_series, random_taps, rel_err
 
@@ -170,35 +169,6 @@ class TestReorder:
         a = reorder(fop, 4, 2)
         b = reorder(transpose(fop), 4, 2)
         assert np.array_equal(a.blocks, b.blocks)
-
-
-class TestRfopFile:
-    def test_round_trip(self, rng, tmp_path):
-        fop = Fop(random_plane(rng, 5, 32))
-        rfop = reorder(fop, 8, 3)
-        path = tmp_path / "plane.rfop"
-        save_rfop(rfop, path)
-        loaded = load_rfop(path, n_rows=5, n_chan=32)
-        assert loaded.block_cols == 8 and loaded.n_hp == 3
-        assert np.array_equal(loaded.blocks, rfop.blocks)
-        assert loaded.lookup(3, -1, 17) == rfop.lookup(3, -1, 17)
-
-    def test_geometry_must_fit_the_blocks(self, rng, tmp_path):
-        rfop = reorder(Fop(random_plane(rng, 5, 32)), 8, 3)
-        path = tmp_path / "plane.rfop"
-        save_rfop(rfop, path)
-        for n_rows, n_chan in [(5, 64), (9, 32)]:
-            loaded = load_rfop(path, n_rows=n_rows, n_chan=n_chan)
-            with pytest.raises(FormatError):
-                loaded.lookup(1, 0, 0)
-
-    def test_geometry_required_for_lookup(self, rng, tmp_path):
-        rfop = reorder(Fop(random_plane(rng, 3, 8)), 4, 2)
-        path = tmp_path / "plane.rfop"
-        save_rfop(rfop, path)
-        loaded = load_rfop(path)
-        with pytest.raises(PrepError):
-            loaded.lookup(1, 0, 0)
 
 
 class TestCombinationMatrix:
