@@ -316,16 +316,17 @@ def save_fop(fop: Fop, path) -> None:
 
 
 def load_fop(path) -> Fop:
-    blob = Path(path).read_bytes()
-    if len(blob) < 12 or blob[:4] != FOP_MAGIC:
-        raise FormatError(f"{path}: not a FOP file (bad magic)")
-    rows, cols = struct.unpack("<II", blob[4:12])
-    expected = rows * cols * 4
-    payload = blob[12:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: header says {rows}x{cols} ({rows * cols} values) "
-            f"but file carries {len(payload) // 4} values"
-        )
-    values = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
-    return Fop(values)
+    """Read a FOP file; the payload is read once, straight into the plane."""
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != FOP_MAGIC:
+            raise FormatError(f"{path}: not a FOP file (bad magic)")
+        rows, cols = struct.unpack("<II", head[4:])
+        payload = Path(path).stat().st_size - 12
+        if payload != rows * cols * 4:
+            raise FormatError(
+                f"{path}: header says {rows}x{cols} ({rows * cols} values) "
+                f"but file carries {payload // 4} values"
+            )
+        values = np.fromfile(fh, dtype="<f4", count=rows * cols)
+    return Fop(values.reshape(rows, cols))

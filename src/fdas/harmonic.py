@@ -3,12 +3,14 @@
 The plane is stretched by each integer k (truncation toward zero on the
 signed template axis, floor on the channel axis), the stretched planes are
 summed cumulatively, and points exceeding their per-(harmonic, template)
-threshold are collected, capped per harmonic. The brute-force accumulation is
+threshold are selected, capped per harmonic. The brute-force accumulation is
 the reference. The four traversal strategies share one accumulation over
 column tiles of about ``prep.TILE_POINTS`` plane points, so their time is
 linear in the plane size; they differ only in the source they read (the plane
 or the reordered plane), the column-group width a tile is made of, and the
-memory traffic they model, and must emit bit-identical candidate lists.
+memory traffic they model, and must emit bit-identical candidate lists. Each
+tile passes on only its n_cand strongest points per harmonic (ties included),
+so the one final sort sees at most n_tiles x n_hp x n_cand points plus ties.
 """
 
 from __future__ import annotations
@@ -155,15 +157,10 @@ class CandidateList:
         t = np.asarray(templates, dtype=np.int32)
         c = np.asarray(channels, dtype=np.int32)
         p = np.asarray(powers, dtype=np.float32)
-        if h.size == 0:
-            return cls(np.empty(0, dtype=CANDIDATE_DTYPE), n_cand)
         order = np.lexsort((t, c, -p, h))
-        h, t, c, p = h[order], t[order], c[order], p[order]
-        keep = []
-        for k in np.unique(h):
-            idx = np.nonzero(h == k)[0][:n_cand]
-            keep.append(idx)
-        sel = np.concatenate(keep)
+        sorted_h = h[order]
+        rank = np.arange(order.size) - np.searchsorted(sorted_h, sorted_h)
+        sel = order[rank < n_cand]
         out = np.empty(sel.size, dtype=CANDIDATE_DTYPE)
         out["harmonic"] = h[sel]
         out["template"] = t[sel]
@@ -212,33 +209,27 @@ class CandidateList:
         return cls(out, n_cand)
 
 
-class _Collector:
-    """Accumulates above-threshold points across work units."""
+def _above(k: int, hp: np.ndarray, ta_row: np.ndarray, signed: np.ndarray,
+           col_offset: int, n_cand: int | None = None):
+    """(harmonic, template, channel, power) of the points of tile ``hp`` of
+    harmonic k strictly above threshold. With ``n_cand``, only those at least
+    as strong as the n_cand-th strongest (ties kept): any weaker point has
+    n_cand strictly stronger ones in harmonic k, so the cap never keeps it."""
+    idx = np.flatnonzero(hp > ta_row[:, None])  # 2-D nonzero is ~5x slower
+    p = hp.ravel()[idx]
+    if n_cand is not None and p.size > n_cand:
+        keep = p >= np.partition(p, p.size - n_cand)[p.size - n_cand]
+        idx, p = idx[keep], p[keep]
+    rr, cc = np.divmod(idx, hp.shape[1])
+    return (np.full(idx.size, k, dtype=np.int32), signed[rr].astype(np.int32),
+            (cc + col_offset).astype(np.int32), p)
 
-    def __init__(self):
-        self._h = []
-        self._t = []
-        self._c = []
-        self._p = []
 
-    def gather(self, k: int, hp_span: np.ndarray, ta_row: np.ndarray,
-               signed_rows: np.ndarray, col_offset: int) -> None:
-        mask = hp_span > ta_row[:, None]
-        if not mask.any():
-            return
-        rr, cc = np.nonzero(mask)
-        self._h.append(np.full(rr.size, k, dtype=np.int32))
-        self._t.append(signed_rows[rr].astype(np.int32))
-        self._c.append((cc + col_offset).astype(np.int32))
-        self._p.append(hp_span[rr, cc])
-
-    def finish(self, n_cand: int) -> CandidateList:
-        if not self._h:
-            return CandidateList(np.empty(0, dtype=CANDIDATE_DTYPE), n_cand)
-        return CandidateList.from_points(np.concatenate(self._h),
-                                         np.concatenate(self._t),
-                                         np.concatenate(self._c),
-                                         np.concatenate(self._p), n_cand)
+def _select(parts: list, n_cand: int) -> CandidateList:
+    """One canonical sort and cap over the concatenated ``_above`` parts."""
+    h, t, c, p = (map(np.concatenate, zip(*parts)) if parts
+                  else (np.empty(0),) * 4)
+    return CandidateList.from_points(h, t, c, p, n_cand)
 
 
 # --- stretch lookup ---------------------------------------------------------------
@@ -281,14 +272,13 @@ def harmonic_sum_naive(fop: Fop, thresholds: ThresholdTable,
     _check_thresholds(thresholds, config.n_hp, rows)
     signed = signed_range(rows)
     hp = np.zeros((rows, cols), dtype=np.float32)
-    planes = []
-    coll = _Collector()
+    planes, parts = [], []
     for k in range(1, config.n_hp + 1):
         sp = tm[stretch_rows(rows, k)][:, np.arange(cols) // k]
         hp = hp + sp
         planes.append(hp)
-        coll.gather(k, hp, thresholds.row(k), signed, 0)
-    return planes, coll.finish(config.n_cand)
+        parts.append(_above(k, hp, thresholds.row(k), signed, 0))
+    return planes, _select(parts, config.n_cand)
 
 
 # --- optimised traversals -------------------------------------------------------------
@@ -302,16 +292,20 @@ class HmRunStats:
     elapsed: float = 0.0
 
 
-def _accumulate(read, cols: int, tile_cols: int, n_hp: int, coll: _Collector,
-                thresholds: ThresholdTable, signed: np.ndarray) -> None:
-    """Accumulate harmonics tile by tile of output columns; ``read(k, c)``
+def _accumulate(read, cols: int, tile_cols: int, n_hp: int,
+                thresholds: ThresholdTable, signed: np.ndarray,
+                n_cand: int) -> CandidateList:
+    """Accumulate harmonics tile by tile of output columns, pre-capping each
+    tile's points per harmonic at n_cand, then sort and cap once; ``read(k, c)``
     returns the k-stretched source (template row x column) of columns c."""
+    parts = []
     for c0 in range(0, cols, tile_cols):
         cols_idx = np.arange(c0, min(cols, c0 + tile_cols))
         hp = np.zeros((signed.size, cols_idx.size), dtype=np.float32)
         for k in range(1, n_hp + 1):
             hp = hp + read(k, cols_idx)
-            coll.gather(k, hp, thresholds.row(k), signed, c0)
+            parts.append(_above(k, hp, thresholds.row(k), signed, c0, n_cand))
+    return _select(parts, n_cand)
 
 
 def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
@@ -321,7 +315,9 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
     The block-streaming strategy needs the reordered plane; the others need a
     standard plane (either orientation). All accumulate over the same bounded
     tiles, differing in source reader, tile group width and access statistics.
-    ``stats.elapsed`` is the wall span of the whole call, selection included.
+    Each tile keeps its n_cand strongest points per harmonic for the one final
+    sort. ``stats.elapsed`` is the wall span of the whole call, selection
+    included.
     """
     t_start = time.perf_counter()
     n_hp = config.n_hp
@@ -370,9 +366,7 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
             raise HarmonicError(f"unknown harmonic strategy {strategy!r}")
 
     _check_thresholds(thresholds, n_hp, rows)
-    coll = _Collector()
-    _accumulate(read, cols, _tile_cols(rows, group), n_hp, coll, thresholds,
-                signed_range(rows))
-    candidates = coll.finish(config.n_cand)
+    candidates = _accumulate(read, cols, _tile_cols(rows, group), n_hp,
+                             thresholds, signed_range(rows), config.n_cand)
     stats.elapsed = time.perf_counter() - t_start
     return candidates, stats

@@ -402,8 +402,13 @@ def load_timing_rows(path) -> list:
     if not isinstance(raw, list):
         raise ModelError(f"timing file {path}: top level must be an array")
     rows = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ModelError(f"timing file {path}: row {i} is not an object")
         if "combination" not in entry:
-            raise ModelError(f"timing file {path}: row missing 'combination'")
-        rows.append((entry["combination"], StageTiming.from_dict(entry)))
+            raise ModelError(f"timing file {path}: row {i} missing 'combination'")
+        try:
+            rows.append((entry["combination"], StageTiming.from_dict(entry)))
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"timing file {path}: row {i}: {exc}") from exc
     return rows

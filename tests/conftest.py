@@ -44,6 +44,18 @@ def random_taps(rng, n_tap, dtype=np.complex64):
     return (rng.standard_normal(n_tap) + 1j * rng.standard_normal(n_tap)).astype(dtype)
 
 
+def select_candidates(points, n_cand):
+    """Candidate selection by plain sorting: per harmonic, ascending, the first
+    n_cand of its (harmonic, template, channel, power) points ordered by
+    (power desc, channel, template)."""
+    kept = []
+    for k in sorted({pt[0] for pt in points}):
+        ranked = sorted((pt for pt in points if pt[0] == k),
+                        key=lambda pt: (-pt[3], pt[2], pt[1]))
+        kept.extend(ranked[:n_cand])
+    return kept
+
+
 def random_plane(rng, rows, cols):
     """Random non-negative float32 power plane."""
     return (rng.standard_normal((rows, cols)) ** 2).astype(np.float32)

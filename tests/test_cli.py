@@ -209,6 +209,17 @@ class TestSweep:
         assert run_cli("sweep", "--timings", str(tfile),
                        "--out", str(tmp_path / "s")) == 2
 
+    @pytest.mark.parametrize("rows", [
+        [1], [{"combination": "x", "t_ft": "a"}],
+        [{"combination": "x", "per_launch": [1], "t_klo": None}]],
+        ids=["not-an-object", "text-time", "null-time"])
+    def test_malformed_timing_row_exits_2(self, tmp_path, capsys, rows):
+        tfile = tmp_path / "bad.json"
+        tfile.write_text(json.dumps(rows))
+        assert run_cli("sweep", "--timings", str(tfile),
+                       "--out", str(tmp_path / "s")) == 2
+        assert "row 0" in capsys.readouterr().err
+
     def test_empty_combination_list_exits_2(self, tmp_path):
         tfile = tmp_path / "empty.json"
         tfile.write_text("[]")

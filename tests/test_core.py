@@ -146,6 +146,21 @@ class TestFopFile:
         with pytest.raises(FormatError, match="39"):
             load_fop(path)
 
+    @pytest.mark.parametrize("n_bytes,carried", [(41 * 4, 41), (40 * 4 + 2, 40)],
+                             ids=["long", "ragged"])
+    def test_payload_long_or_ragged(self, tmp_path, n_bytes, carried):
+        import struct
+        path = tmp_path / "bad.fop"
+        path.write_bytes(b"FOP1" + struct.pack("<II", 5, 8) + b"\x00" * n_bytes)
+        with pytest.raises(FormatError, match=f"carries {carried} values"):
+            load_fop(path)
+
+    def test_shorter_than_header(self, tmp_path):
+        path = tmp_path / "short.fop"
+        path.write_bytes(b"FOP1\x05\x00")
+        with pytest.raises(FormatError, match="bad magic"):
+            load_fop(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -8,13 +8,13 @@ import pytest
 
 from fdas import harmonic
 from fdas.core import FdasConfig, Fop
-from fdas.harmonic import (CandidateList, HarmonicError, MultipleHpN,
-                           MultipleHpR, NaiveMultipleHp, SingleHp,
+from fdas.harmonic import (CANDIDATE_DTYPE, CandidateList, HarmonicError,
+                           MultipleHpN, MultipleHpR, NaiveMultipleHp, SingleHp,
                            ThresholdTable, harmonic_sum, harmonic_sum_naive,
                            stretch_lookup)
 from fdas.prep import TILE_POINTS, _tile_cols, reorder, transpose
 
-from conftest import random_plane
+from conftest import random_plane, select_candidates
 
 
 def cfg_for(rows, cols, n_hp=8, n_cand=16):
@@ -41,11 +41,13 @@ def brute_force_candidates(fop, thresholds, config):
                 if hp[r, j] > thresholds.ta[k - 1, r]:
                     points.append((k, r - offset, j, hp[r, j]))
         hp_prev = hp
-    if not points:
-        return CandidateList(np.empty(0, dtype=CandidateList([], 1).entries.dtype),
-                             config.n_cand)
-    ks, is_, js, ps = zip(*points)
-    return CandidateList.from_points(ks, is_, js, ps, config.n_cand)
+    return oracle_list(points, config.n_cand)
+
+
+def oracle_list(points, n_cand):
+    """The oracle's selection of (harmonic, template, channel, power) points."""
+    return CandidateList(np.array(select_candidates(points, n_cand),
+                                  dtype=CANDIDATE_DTYPE), n_cand)
 
 
 def loop_multi_n_points_read(rows, cols, group_cols, n_hp):
@@ -255,13 +257,14 @@ class TestStrategies:
         cfg = cfg_for(9, 64)
         fop = Fop(random_plane(rng, 9, 64))
         table = ThresholdTable.from_plane(fop, cfg.n_hp, sigma_factor=1.0)
-        finish = harmonic._Collector.finish
+        from_points = CandidateList.from_points
 
-        def slow_finish(self, n_cand):
+        def slow_from_points(cls, *args):
             time.sleep(0.05)
-            return finish(self, n_cand)
+            return from_points(*args)
 
-        monkeypatch.setattr(harmonic._Collector, "finish", slow_finish)
+        monkeypatch.setattr(CandidateList, "from_points",
+                            classmethod(slow_from_points))
         for plane, strategy in [(fop, SingleHp()), (fop, NaiveMultipleHp()),
                                 (fop, MultipleHpN(4)),
                                 (reorder(fop, 8, cfg.n_hp), MultipleHpR(8, 4))]:
@@ -375,3 +378,56 @@ class TestMultiTilePlane:
         assert stats.points_read == loop_multi_n_points_read(rows, cols,
                                                              group_cols, 8)
 
+
+class TestTilePreCap:
+    """Each tile passes on only its n_cand strongest points per harmonic."""
+
+    def test_tied_powers_match_oracle(self):
+        # integer levels make ties at every tile's cut, in every harmonic
+        rows, cols = 9, 16384
+        levels = np.random.default_rng(99).integers(0, 4, (rows, cols))
+        fop = Fop(levels.astype(np.float32))
+        cfg = cfg_for(rows, cols, n_hp=8, n_cand=3)
+        table = ThresholdTable.constant(1.0, cfg.n_hp, rows)
+        planes, naive = harmonic_sum_naive(fop, table, cfg)
+        signed = np.arange(rows) - (rows - 1) // 2
+        points = []
+        for k, hp in enumerate(planes, start=1):
+            rr, cc = np.nonzero(hp > table.ta[k - 1][:, None])
+            points += zip([k] * rr.size, signed[rr].tolist(), cc.tolist(),
+                          hp[rr, cc].tolist())
+        ref = oracle_list(points, cfg.n_cand)
+        assert len(ref) == cfg.n_hp * cfg.n_cand
+        assert naive.same_as(ref)
+        assert _tile_cols(rows, 8) < cols  # the plane spans tiles
+        for name, (cands, _) in run_all_strategies(fop, table, cfg).items():
+            assert cands.same_as(ref), name
+
+    def test_one_sort_of_bounded_size(self, monkeypatch):
+        # every point passes, and no tile's cut is tied at this seed
+        rows, cols = 9, 16384
+        rng = np.random.default_rng(7)
+        fop = Fop((1.0 + rng.random((rows, cols))).astype(np.float32))
+        cfg = cfg_for(rows, cols, n_hp=8, n_cand=5)
+        table = ThresholdTable.constant(0.5, cfg.n_hp, rows)
+        from_points = CandidateList.from_points
+        sizes = []
+
+        def spy(cls, harmonics, *rest):
+            sizes.append(len(harmonics))
+            return from_points(harmonics, *rest)
+
+        monkeypatch.setattr(CandidateList, "from_points", classmethod(spy))
+        _, ref = harmonic_sum_naive(fop, table, cfg)
+        assert sizes == [cfg.n_hp * rows * cols]  # the reference is uncapped
+        for plane, strategy, group in [
+                (fop, SingleHp(), 1), (transpose(fop), NaiveMultipleHp(), 1),
+                (fop, MultipleHpN(3), 3),
+                (reorder(fop, 16, cfg.n_hp), MultipleHpR(16, 4), 16)]:
+            sizes.clear()
+            cands, _ = harmonic_sum(plane, strategy, table, cfg)
+            n_tiles = -(-cols // _tile_cols(rows, group))
+            assert n_tiles > 1
+            assert len(sizes) == 1, strategy.kind
+            assert sizes[0] <= n_tiles * cfg.n_hp * cfg.n_cand, strategy.kind
+            assert cands.same_as(ref), strategy.kind
