@@ -147,8 +147,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dev = pl.DeviceModel.nominal()
     cfg = _load_cfg(args)
     if args.timings:
@@ -162,6 +160,8 @@ def cmd_sweep(args) -> int:
             cfg, combos, reps=args.reps, threads=args.threads, seed=args.seed)
     report = pl.sweep(rows, dev, n_devices=args.devices, plane_bytes=plane_bytes,
                       t_limit=cfg.t_limit)
+    out = Path(args.out)  # made only once there is a report to write
+    out.mkdir(parents=True, exist_ok=True)
     pl.write_report_json(report, out / "report.json")
     pl.write_report_csv(report, out / "report.csv")
     for row in report:

@@ -6,6 +6,10 @@ frequency-domain convolution, and chunked overlap-save. All use the causal
 zero-history boundary (x[i-j] = 0 for i-j < 0) and agree on the resulting
 filter-output plane within single-precision tolerance.
 
+Both time-domain routes run one kernel: sub-filters convolved directly and
+added in at their delays. ``naive-td`` is its one-split case, with one
+sub-filter as wide as the longest template.
+
 Both frequency-domain routes run one kernel on numpy's FFT, called only
 through ``dft``: the input chunks are transformed once in one batched call,
 and each template is one forward transform, a broadcast multiply and one
@@ -229,17 +233,11 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
     if not isinstance(strategy, OlsFd):
         rows = np.empty((bank.n_templates, n), dtype=np.float32)
 
-    if isinstance(strategy, NaiveTd):
-        def run_group(group):
-            t0 = time.perf_counter()
-            for t in group:
-                rows[t] = power_spectrum(fir_naive_td(x, bank.templates[t]))
-            return [time.perf_counter() - t0]
-
-    elif isinstance(strategy, OlaTd):
-        # launch accounting uses the bank-wide maximum tap count: the split is
-        # sized once for the bank, shorter templates just carry zero taps
-        count = ola_launch_count(bank.max_taps, strategy.n_paral)
+    if isinstance(strategy, (NaiveTd, OlaTd)):
+        # naive-td is the one-split case. The split is sized once for the
+        # bank's longest template; shorter templates just carry zero taps
+        width = strategy.n_paral if isinstance(strategy, OlaTd) else bank.max_taps
+        count = ola_launch_count(bank.max_taps, width)
 
         def run_group(group):
             times = []
@@ -247,10 +245,10 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
             for p in range(count):
                 t0 = time.perf_counter()
                 for t in group:
-                    sub = bank.templates[t][p * strategy.n_paral:(p + 1) * strategy.n_paral]
+                    sub = bank.templates[t][p * width:(p + 1) * width]
                     if sub.size and sub.any():
                         part = np.convolve(x, sub)
-                        delay = p * strategy.n_paral
+                        delay = p * width
                         if delay < n:
                             partial[t][delay:] += part[: n - delay].astype(np.complex64)
                 times.append(time.perf_counter() - t0)

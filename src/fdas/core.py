@@ -27,7 +27,7 @@ class ConfigError(FdasError):
 
 
 class FormatError(FdasError):
-    """Structurally invalid binary artifact (FOP / rFOP file)."""
+    """Structurally invalid binary artifact (a FOP file or plane)."""
 
 
 def is_pow2(n: int) -> bool:
@@ -267,9 +267,13 @@ class Fop:
         v = np.asarray(self.values, dtype=np.float32)
         if v.ndim != 2:
             raise FormatError("FOP values must be a 2-D matrix")
-        if not np.isfinite(v).all():
+        if v.size == 0:
+            raise FormatError(f"FOP plane {v.shape[0]}x{v.shape[1]} is empty")
+        # min and max propagate NaN and +-inf, so no plane-sized mask is built
+        lo, hi = v.min(), v.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise FormatError("FOP contains non-finite values")
-        if (v < 0).any():
+        if lo < 0:
             raise FormatError("FOP powers must be non-negative")
         self.values = v
 

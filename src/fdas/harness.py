@@ -10,7 +10,7 @@ scale, and measure_sweep times every combination to feed the model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -167,21 +167,7 @@ def run_pipeline(spec: RunSpec, out_dir) -> dict:
     save_fop(fop, paths["fop"])
     candidates.to_csv(paths["candidates"])
     paths["timing"].write_text(json.dumps(st.to_dict(), indent=2) + "\n")
-    plan_doc = {
-        "buffering": plan.buffering,
-        "n_devices": plan.n_devices,
-        "scheme": plan.scheme,
-        "period": plan.period,
-        "t_fdas": plan.t_fdas,
-        "period_contended": pl.contended_period(st, dev, plan.buffering),
-        "period_multidevice": {
-            s: pl.multi_device_period(st, spec.n_devices, s, dev=dev,
-                                      plane_bytes=fop.nbytes)
-            for s in pl.SCHEMES},
-        "degraded": plan.degraded,
-        "notes": plan.notes,
-    }
-    paths["plan"].write_text(json.dumps(plan_doc, indent=2) + "\n")
+    paths["plan"].write_text(json.dumps(asdict(plan), indent=2) + "\n")
     return paths
 
 

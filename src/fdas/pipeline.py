@@ -133,13 +133,16 @@ class DeviceModel:
 
 @dataclass
 class PipelinePlan:
-    """A buffering/device assignment together with its predicted period."""
+    """A buffering/device assignment and its predicted periods; the fields
+    are the ``plan.json`` record, in file order."""
 
     buffering: int
     n_devices: int
     scheme: str
     period: float
     t_fdas: float
+    period_contended: float
+    period_multidevice: dict
     degraded: bool = False
     notes: list = field(default_factory=list)
 
@@ -317,7 +320,8 @@ def plan_pipeline(st: StageTiming, dev: DeviceModel | None = None,
                   plane_bytes: float = 0.0, n_devices: int = 1,
                   scheme: str = "multi-input",
                   t_limit: float | None = None) -> PipelinePlan:
-    """Select buffering (degrading on capacity limits) and predict the period."""
+    """Select buffering (degrading on capacity limits) and predict the ideal,
+    contended (ideal without a device) and per-scheme multi-device periods."""
     buffering = choose_buffering(st)
     notes = []
     degraded = False
@@ -334,38 +338,39 @@ def plan_pipeline(st: StageTiming, dev: DeviceModel | None = None,
             f"reconfiguration ({dev.reconfig_time}s) exceeds the time limit "
             f"({t_limit}s); reconfiguration-based scheduling rejected")
     period = ideal_period(st, buffering)
-    return PipelinePlan(buffering=buffering, n_devices=n_devices, scheme=scheme,
-                        period=period, t_fdas=total_latency(st),
-                        degraded=degraded, notes=notes)
+    return PipelinePlan(
+        buffering=buffering, n_devices=n_devices, scheme=scheme, period=period,
+        t_fdas=total_latency(st),
+        period_contended=(contended_period(st, dev, buffering)
+                          if dev is not None else period),
+        period_multidevice={s: multi_device_period(st, n_devices, s, dev=dev,
+                                                   plane_bytes=plane_bytes)
+                            for s in SCHEMES},
+        degraded=degraded, notes=notes)
 
 
 def sweep(rows: list, dev: DeviceModel | None = None, n_devices: int = 1,
           plane_bytes: float = 0.0, t_limit: float | None = None) -> list:
     """Evaluate (name, StageTiming) combinations and rank them by period.
 
-    Returns report rows sorted by contended period (ties keep input order).
+    Each row holds the periods of one ``plan_pipeline`` evaluation. Returns
+    report rows sorted by contended period (ties keep input order).
     """
     if not rows:
         raise ModelError("sweep needs at least one combination")
     report = []
     for name, st in rows:
         plan = plan_pipeline(st, dev, plane_bytes, n_devices, t_limit=t_limit)
-        p_ideal = plan.period
-        p_cont = (contended_period(st, dev, plan.buffering)
-                  if dev is not None else p_ideal)
-        multi = {scheme: multi_device_period(st, n_devices, scheme, dev=dev,
-                                             plane_bytes=plane_bytes)
-                 for scheme in SCHEMES}
         row = {
             "combination": name,
             "t_ft": st.t_ft,
             "t_fop": st.t_fop,
             "t_hm": st.t_hm,
-            "t_fdas": st.t_fdas,
+            "t_fdas": plan.t_fdas,
             "buffering": plan.buffering,
-            "period_ideal": p_ideal,
-            "period_contended": p_cont,
-            "period_multidevice": multi,
+            "period_ideal": plan.period,
+            "period_contended": plan.period_contended,
+            "period_multidevice": plan.period_multidevice,
         }
         if plan.notes:
             row["notes"] = list(plan.notes)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fdas.convolution import CONV_KINDS
 from fdas.core import FdasConfig, load_fop, save_config
 from fdas.harmonic import HM_KINDS, CandidateList
 from fdas.harness import RunSpec, SpecError, verification_checks
-from fdas.pipeline import StageTiming
+from fdas.pipeline import PipelinePlan, StageTiming
 
 DESK = dict(n_chan=1024, n_temp=5, n_tap=17, n_cand=16)
 
@@ -132,6 +133,7 @@ class TestRun:
         assert set(plan["period_multidevice"]) == {"single-input", "multi-input",
                                                    "multi-config"}
         assert plan["period_contended"] >= plan["period"] - 1e-12
+        assert list(plan) == [f.name for f in fields(PipelinePlan)]
 
     def test_tight_time_limit_flags_reconfiguration(self, tmp_path):
         # device reconfiguration takes ~1 s; a 50 ms limit rules it out
@@ -208,6 +210,7 @@ class TestSweep:
         tfile.write_text("{oops")
         assert run_cli("sweep", "--timings", str(tfile),
                        "--out", str(tmp_path / "s")) == 2
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("rows", [
         [1], [{"combination": "x", "t_ft": "a"}],
@@ -219,6 +222,7 @@ class TestSweep:
         assert run_cli("sweep", "--timings", str(tfile),
                        "--out", str(tmp_path / "s")) == 2
         assert "row 0" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_empty_combination_list_exits_2(self, tmp_path):
         tfile = tmp_path / "empty.json"

@@ -8,7 +8,7 @@ from fdas.convolution import (ConvolutionError, ConvRawOutput, NaiveFd,
                               convolve_bank, fir_naive_td, fir_ols_fd,
                               ola_launch_count, ola_padded_length,
                               ols_chunk_count, power_spectrum)
-from fdas.core import FilterBank
+from fdas.core import FilterBank, next_pow2
 from fdas.prep import fop_from
 
 from conftest import direct_convolve, random_series, random_taps, rel_err
@@ -226,6 +226,25 @@ class TestConvolveBank:
         launches = ola_launch_count(bank.max_taps, 8)
         assert st.n_ft_launch == 6 * launches
         assert all(t >= 0 for t in st.per_launch)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("filters_per_launch", [1, 2])
+    def test_time_domain_bank_matches_direct_oracle(self, rng, filters_per_launch,
+                                                    threads):
+        # unequal lengths: shorter templates carry zero taps in the last split
+        x = random_series(rng, 600)
+        bank = FilterBank([random_taps(rng, n) for n in (1, 40, 7, 33, 17)])
+        ref = [np.abs(direct_convolve(x, h)) ** 2 for h in bank.templates]
+        planes = {}
+        for strategy in (NaiveTd(), OlaTd(8), OlaTd(next_pow2(bank.max_taps))):
+            fop, st = convolve_bank(x, bank, strategy, threads=threads,
+                                    filters_per_launch=filters_per_launch)
+            planes[strategy] = fop.values, len(st.per_launch)
+            for row, want in zip(fop.values, ref):
+                assert rel_err(row, want) < 1e-5
+        # naive-td is the one-split case of ola-td, launches included
+        naive, whole = planes[NaiveTd()], planes[OlaTd(next_pow2(bank.max_taps))]
+        assert np.array_equal(naive[0], whole[0]) and naive[1] == whole[1]
 
     def test_chunk_smaller_than_filter_rejected(self, rng):
         x = random_series(rng, 512)

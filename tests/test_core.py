@@ -1,6 +1,7 @@
 """Configuration, data types, file formats, and input synthesis."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,8 +104,24 @@ class TestFopType:
             Fop(np.zeros(4, dtype=np.float32))  # 1-D
         with pytest.raises(FormatError):
             Fop(np.array([[1.0, -2.0]], dtype=np.float32))  # negative power
-        with pytest.raises(FormatError):
-            Fop(np.array([[np.nan]], dtype=np.float32))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(FormatError, match="non-finite"):
+                Fop(np.array([[1.0, bad]], dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 8)])
+    def test_empty_plane_rejected(self, shape):
+        with pytest.raises(FormatError, match=f"{shape[0]}x{shape[1]}"):
+            Fop(np.zeros(shape, dtype=np.float32))
+
+    def test_validation_builds_no_plane_sized_temporary(self):
+        values = np.ones((21, 2 ** 19), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            Fop(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * values.nbytes
 
     def test_logical_lookup(self, rng):
         values = (rng.standard_normal((5, 8)) ** 2).astype(np.float32)
@@ -159,6 +176,14 @@ class TestFopFile:
         path = tmp_path / "short.fop"
         path.write_bytes(b"FOP1\x05\x00")
         with pytest.raises(FormatError, match="bad magic"):
+            load_fop(path)
+
+    @pytest.mark.parametrize("rows,cols", [(5, 0), (0, 8)])
+    def test_empty_plane_header(self, tmp_path, rows, cols):
+        import struct
+        path = tmp_path / "empty.fop"
+        path.write_bytes(b"FOP1" + struct.pack("<II", rows, cols))
+        with pytest.raises(FormatError, match=f"{rows}x{cols}"):
             load_fop(path)
 
     def test_bad_magic(self, tmp_path):

@@ -354,7 +354,8 @@ class TestPlanPipeline:
     def test_plan_invariant(self):
         with pytest.raises(ModelError):
             PipelinePlan(buffering=2, n_devices=1, scheme="multi-input",
-                         period=10.0, t_fdas=5.0)
+                         period=10.0, t_fdas=5.0, period_contended=10.0,
+                         period_multidevice={})
 
 
 class TestSweep:
@@ -369,6 +370,27 @@ class TestSweep:
     def test_empty_rejected(self):
         with pytest.raises(ModelError):
             sweep([])
+
+    @pytest.mark.parametrize("n_devices", [1, 3])
+    @pytest.mark.parametrize("dev", [None, DeviceModel(40.0, 1e3, 2.0, 1.0)],
+                             ids=["no-device", "device"])
+    def test_rows_are_plan_pipeline_evaluations(self, dev, n_devices):
+        # demands above the 40 B/s bandwidth make the contended period differ
+        rows = [(f"r{i}", totals(*t, demands={"ft": 30.0, "discard": 25.0,
+                                              "hm": 50.0}))
+                for i, t in enumerate([(1.0, 2.0, 0.5), (3.0, 0.2, 0.4),
+                                       (0.7, 0.7, 0.7)])]
+        plane_bytes = 0.0 if dev is None else 64.0  # the host link needs a device
+        report = sweep(rows, dev, n_devices=n_devices, plane_bytes=plane_bytes,
+                       t_limit=0.5)
+        for name, st in rows:
+            row = next(r for r in report if r["combination"] == name)
+            plan = plan_pipeline(st, dev, plane_bytes, n_devices, t_limit=0.5)
+            assert row["period_ideal"] == plan.period
+            assert row["period_contended"] == plan.period_contended
+            assert row["period_multidevice"] == plan.period_multidevice
+        if dev is not None:
+            assert any(r["period_contended"] > r["period_ideal"] for r in report)
 
     def test_identical_rows_stable_order(self):
         rows = [("a", totals(1, 1, 1)), ("b", totals(1, 1, 1))]
