@@ -8,9 +8,13 @@ the reference. The four traversal strategies share one accumulation over
 column tiles of about ``prep.TILE_POINTS`` plane points, so their time is
 linear in the plane size; they differ only in the source they read (the plane
 or the reordered plane), the column-group width a tile is made of, and the
-memory traffic they model, and must emit bit-identical candidate lists. Each
-tile passes on only its n_cand strongest points per harmonic (ties included),
-so the one final sort sees at most n_tiles x n_hp x n_cand points plus ties.
+memory traffic they model, and must emit bit-identical candidate lists. Tiles
+are channel-major (column x template row). Each harmonic k is read at source
+resolution, one row per source column, and each source column is added in
+place to the k output columns it feeds through a broadcast view, so no
+k-stretched tile is gathered. Each tile passes on only its n_cand strongest
+points per harmonic (ties included), so the one final sort sees at most
+n_tiles x n_hp x n_cand points plus ties.
 """
 
 from __future__ import annotations
@@ -211,16 +215,17 @@ class CandidateList:
 
 def _above(k: int, hp: np.ndarray, ta_row: np.ndarray, signed: np.ndarray,
            col_offset: int, n_cand: int | None = None):
-    """(harmonic, template, channel, power) of the points of tile ``hp`` of
-    harmonic k strictly above threshold. With ``n_cand``, only those at least
-    as strong as the n_cand-th strongest (ties kept): any weaker point has
-    n_cand strictly stronger ones in harmonic k, so the cap never keeps it."""
-    idx = np.flatnonzero(hp > ta_row[:, None])  # 2-D nonzero is ~5x slower
+    """(harmonic, template, channel, power) of the points of channel-major
+    tile ``hp`` (column x template row) of harmonic k strictly above
+    threshold. With ``n_cand``, only those at least as strong as the
+    n_cand-th strongest (ties kept): any weaker point has n_cand strictly
+    stronger ones in harmonic k, so the cap never keeps it."""
+    idx = np.flatnonzero(hp > ta_row)  # 2-D nonzero is ~5x slower
     p = hp.ravel()[idx]
     if n_cand is not None and p.size > n_cand:
         keep = p >= np.partition(p, p.size - n_cand)[p.size - n_cand]
         idx, p = idx[keep], p[keep]
-    rr, cc = np.divmod(idx, hp.shape[1])
+    cc, rr = np.divmod(idx, hp.shape[1])
     return (np.full(idx.size, k, dtype=np.int32), signed[rr].astype(np.int32),
             (cc + col_offset).astype(np.int32), p)
 
@@ -277,7 +282,8 @@ def harmonic_sum_naive(fop: Fop, thresholds: ThresholdTable,
         sp = tm[stretch_rows(rows, k)][:, np.arange(cols) // k]
         hp = hp + sp
         planes.append(hp)
-        parts.append(_above(k, hp, thresholds.row(k), signed, 0))
+        parts.append(_above(k, np.ascontiguousarray(hp.T), thresholds.row(k),
+                            signed, 0))
     return planes, _select(parts, config.n_cand)
 
 
@@ -292,18 +298,44 @@ class HmRunStats:
     elapsed: float = 0.0
 
 
+def _add_stretched(hp: np.ndarray, src: np.ndarray, k: int, c0: int) -> None:
+    """Add harmonic k's source to the channel-major tile ``hp`` in place.
+
+    ``hp`` holds output columns c0, c0 + 1, ... (column x template row) and
+    row s of ``src`` holds source column c0 // k + s, already row-stretched.
+    Source column s feeds its k output columns: a head up to the first
+    multiple of k, a body of whole groups of k added through a broadcast
+    view, and a tail of fewer than k columns.
+    """
+    n, rows = hp.shape
+    head = min(n, -c0 % k)
+    hp[:head] += src[0]
+    s0 = (c0 + head) // k - c0 // k
+    m = (n - head) // k
+    body = hp[head:head + m * k].reshape(m, k, rows)  # a view: hp is C-ordered
+    body += src[s0:s0 + m, None, :]
+    if head + m * k < n:
+        hp[head + m * k:] += src[s0 + m]
+
+
 def _accumulate(read, cols: int, tile_cols: int, n_hp: int,
                 thresholds: ThresholdTable, signed: np.ndarray,
                 n_cand: int) -> CandidateList:
     """Accumulate harmonics tile by tile of output columns, pre-capping each
-    tile's points per harmonic at n_cand, then sort and cap once; ``read(k, c)``
-    returns the k-stretched source (template row x column) of columns c."""
+    tile's points per harmonic at n_cand, then sort and cap once.
+
+    Tiles are channel-major (column x template row), so each column's
+    templates are contiguous. ``read(k, c0, c1)`` returns harmonic k's source
+    at source resolution: one row per source column c0 // k .. (c1 - 1) // k,
+    template rows already stretched. ``_add_stretched`` adds it in place, so
+    no k-stretched tile is gathered or allocated.
+    """
     parts = []
     for c0 in range(0, cols, tile_cols):
-        cols_idx = np.arange(c0, min(cols, c0 + tile_cols))
-        hp = np.zeros((signed.size, cols_idx.size), dtype=np.float32)
+        c1 = min(cols, c0 + tile_cols)
+        hp = np.zeros((c1 - c0, signed.size), dtype=np.float32)
         for k in range(1, n_hp + 1):
-            hp = hp + read(k, cols_idx)
+            _add_stretched(hp, read(k, c0, c1), k, c0)
             parts.append(_above(k, hp, thresholds.row(k), signed, c0, n_cand))
     return _select(parts, n_cand)
 
@@ -335,7 +367,11 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
                 f"strategy processes {strategy.cols_per_group} columns per group "
                 f"but the reordered plane has {plane.block_cols}-column blocks")
         rows, cols, group = plane.n_rows, plane.n_chan, plane.block_cols
-        read = plane.stretched
+
+        def read(k, c0, c1):  # one output column in the tile per source column
+            src = np.arange(c0 // k, (c1 - 1) // k + 1) * k
+            return plane.stretched(k, np.maximum(c0, src)).T
+
         stats.points_read = plane.total_points  # blocks stream whole, pad included
     else:
         if not isinstance(plane, Fop):
@@ -345,9 +381,8 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
         rows, cols = tm.shape
         row_maps = {k: stretch_rows(rows, k) for k in range(1, n_hp + 1)}
 
-        def read(k, c):  # only the source columns the tile needs
-            lo = c[0] // k
-            return tm[:, lo:c[-1] // k + 1][row_maps[k]][:, c // k - lo]
+        def read(k, c0, c1):  # only the source columns the tile needs
+            return tm[:, c0 // k:(c1 - 1) // k + 1][row_maps[k]].T
 
         if isinstance(strategy, (SingleHp, NaiveMultipleHp)):
             # every harmonic reads the whole plane, no reuse; single also

@@ -30,14 +30,21 @@ class StageTiming:
 
     The convolution stage is a sequence of kernel launches (per_launch, each
     padded by the launch overhead t_klo); the preparation stage is the subset
-    of {discard, transpose, reorder} enabled by the booleans; harmonic summing
-    is a single span. ``demands`` maps stage names ('ft', 'discard',
-    'transpose', 'reorder', 'hm') to off-chip bandwidth demand in bytes/s and
-    may be left empty when contention is not modelled.
+    of {discard, transpose, reorder} enabled by the booleans; harmonic
+    summing, its thresholds included, is a single span. ``demands`` maps
+    stage names ('ft', 'discard', 'transpose', 'reorder', 'hm') to off-chip
+    bandwidth demand in bytes/s and may be left empty when contention is not
+    modelled.
 
     The fields are the ``timing.json`` record, in file order; ``to_dict``
     appends the derived totals t_ft, t_fop and t_fdas. Every ``t_*`` field is
     a time and must be >= 0.
+
+    Wall spans: ``t_input_transform``, ``t_discard``, ``t_transpose``,
+    ``t_reorder`` and ``t_hm``, which covers the threshold table and the
+    harmonic sum. Summed busy time: ``per_launch`` holds each launch's own
+    wall time, so with several threads ``t_ft`` adds up time the launches
+    spent side by side and can exceed the convolution's wall span.
     """
 
     per_launch: list = field(default_factory=list)

@@ -56,6 +56,27 @@ def select_candidates(points, n_cand):
     return kept
 
 
+def stretched_sums(plane, n_hp):
+    """Harmonic planes 1..n_hp of a template-major plane by direct indexing.
+
+    Plane k at (storage row r, channel j) is the float32 sum, over m = 1..k in
+    ascending order, of plane[row of trunc(i / m), j // m], where i is the
+    signed template of row r and the row of signed template 0 is
+    (rows - 1) // 2.
+    """
+    plane = np.asarray(plane, dtype=np.float32)
+    rows, cols = plane.shape
+    zero = (rows - 1) // 2
+    signed = np.arange(rows) - zero
+    acc = np.zeros_like(plane)
+    planes = []
+    for m in range(1, n_hp + 1):
+        src_rows = np.trunc(signed / m).astype(int) + zero
+        acc = acc + plane[src_rows[:, None], np.arange(cols)[None, :] // m]
+        planes.append(acc)
+    return planes
+
+
 def random_plane(rng, rows, cols):
     """Random non-negative float32 power plane."""
     return (rng.standard_normal((rows, cols)) ** 2).astype(np.float32)

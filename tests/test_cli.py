@@ -2,16 +2,19 @@
 
 import argparse
 import json
+import time
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from fdas import convolution, harmonic
 from fdas.cli import build_parser, main
 from fdas.convolution import CONV_KINDS
 from fdas.core import FdasConfig, load_fop, save_config
 from fdas.harmonic import HM_KINDS, CandidateList
-from fdas.harness import RunSpec, SpecError, verification_checks
+from fdas.harness import RunSpec, SpecError, execute, verification_checks
 from fdas.pipeline import PipelinePlan, StageTiming
 
 DESK = dict(n_chan=1024, n_temp=5, n_tap=17, n_cand=16)
@@ -157,6 +160,42 @@ class TestRun:
                      "--hm-ppi", "--devices", "--scheme", "--seed", "--threads",
                      "--out"):
             assert flag in text
+
+
+class TestExecute:
+    def test_thresholds_are_timed_in_t_hm(self, monkeypatch):
+        from_plane = harmonic.ThresholdTable.from_plane
+
+        def slow_from_plane(cls, *args, **kwargs):
+            time.sleep(0.05)
+            return from_plane(*args, **kwargs)
+
+        monkeypatch.setattr(harmonic.ThresholdTable, "from_plane",
+                            classmethod(slow_from_plane))
+        spec = RunSpec(config=FdasConfig.desk_scale(**DESK), seed=3)
+        assert spec.threshold is None  # thresholds come from the plane
+        assert execute(spec)[2].t_hm >= 0.05
+
+    def test_raw_chunks_released_before_harmonic_sum(self, monkeypatch):
+        raw, alive_at_hm = [], []
+        convolve_bank, harmonic_sum = (convolution.convolve_bank,
+                                       harmonic.harmonic_sum)
+
+        def keep_ref(*args, **kwargs):
+            result, st = convolve_bank(*args, **kwargs)
+            raw.append(weakref.ref(result))
+            return result, st
+
+        def check_raw(*args, **kwargs):
+            alive_at_hm.append(raw[0]() is not None)
+            return harmonic_sum(*args, **kwargs)
+
+        monkeypatch.setattr(convolution, "convolve_bank", keep_ref)
+        monkeypatch.setattr(harmonic, "harmonic_sum", check_raw)
+        spec = RunSpec(config=FdasConfig.desk_scale(**DESK), conv_kind="ols-fd",
+                       conv_param=256, seed=3)
+        execute(spec)
+        assert alive_at_hm == [False]
 
 
 class TestVerify:

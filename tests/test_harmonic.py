@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from fdas import harmonic
+from fdas import harmonic, prep
 from fdas.core import FdasConfig, Fop
 from fdas.harmonic import (CANDIDATE_DTYPE, CandidateList, HarmonicError,
                            MultipleHpN, MultipleHpR, NaiveMultipleHp, SingleHp,
@@ -14,7 +14,7 @@ from fdas.harmonic import (CANDIDATE_DTYPE, CandidateList, HarmonicError,
                            stretch_lookup)
 from fdas.prep import TILE_POINTS, _tile_cols, reorder, transpose
 
-from conftest import random_plane, select_candidates
+from conftest import random_plane, select_candidates, stretched_sums
 
 
 def cfg_for(rows, cols, n_hp=8, n_cand=16):
@@ -431,3 +431,44 @@ class TestTilePreCap:
             assert len(sizes) == 1, strategy.kind
             assert sizes[0] <= n_tiles * cfg.n_hp * cfg.n_cand, strategy.kind
             assert cands.same_as(ref), strategy.kind
+
+
+class TestTileEdges:
+    """Tiles narrower than n_hp start off multiples of k, so every harmonic's
+    in-place add runs its head, body and tail parts."""
+
+    @pytest.mark.parametrize("n_cand", [4, 7 * 64])
+    @pytest.mark.parametrize("tile_width", [1, 3, 5, 7])
+    def test_strategies_match_stretched_sums(self, monkeypatch, tile_width,
+                                             n_cand):
+        rows, cols, n_hp = 7, 64, 8
+        rng = np.random.default_rng(2024 + tile_width)
+        fop = Fop(random_plane(rng, rows, cols))
+        planes = stretched_sums(fop.values, n_hp)
+        # per-template thresholds about each harmonic's median
+        scale = rng.uniform(0.7, 1.3, (n_hp, rows))
+        table = ThresholdTable((np.array([np.median(p) for p in planes])[:, None]
+                                * scale).astype(np.float32))
+        assert len(set(table.ta[0].tolist())) == rows
+        signed = np.arange(rows) - (rows - 1) // 2
+        points = []
+        for k, hp in enumerate(planes, start=1):
+            rr, cc = np.nonzero(hp > table.ta[k - 1][:, None])
+            points += zip([k] * rr.size, signed[rr].tolist(), cc.tolist(),
+                          hp[rr, cc].tolist())
+        assert len(points) > rows * cols  # the comparison is not vacuous
+        ref = oracle_list(points, n_cand)
+
+        cfg = cfg_for(rows, cols, n_hp=n_hp, n_cand=n_cand)
+        monkeypatch.setattr(prep, "TILE_POINTS", tile_width * rows)
+        assert _tile_cols(rows, 1) == tile_width
+        runs = [(f"{s.kind} {orient}", plane, s)
+                for s in (SingleHp(), NaiveMultipleHp())
+                for orient, plane in (("template-major", fop),
+                                      ("channel-major", transpose(fop)))]
+        runs += [(f"multi-n {g}", transpose(fop), MultipleHpN(g)) for g in (1, 3)]
+        runs += [(f"multi-r {b}", reorder(fop, b, n_hp), MultipleHpR(b, 4))
+                 for b in (1, 3, 16)]
+        for name, plane, strategy in runs:
+            cands, _ = harmonic_sum(plane, strategy, table, cfg)
+            assert cands.same_as(ref), name
