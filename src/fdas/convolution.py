@@ -221,9 +221,9 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
     directly and (ConvRawOutput, StageTiming) for chunked overlap-save, whose
     invalid points are removed later by the plane-preparation discard. The
     forward transform(s) of the input are computed once and reused across all
-    templates (visible in StageTiming.input_transforms); per-launch wall times
-    and the launch count are recorded. Results are independent of the thread
-    count.
+    templates (visible in StageTiming.input_transforms). ``per_launch`` holds
+    one entry per launch and adds up to the wall span of the launch phase at
+    any thread count. Results are independent of the thread count.
     """
     x = as_series(x)
     n = x.size
@@ -240,10 +240,9 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
         count = ola_launch_count(bank.max_taps, width)
 
         def run_group(group):
-            times = []
+            stamps = []
             partial = {t: np.zeros(n, dtype=np.complex64) for t in group}
             for p in range(count):
-                t0 = time.perf_counter()
                 for t in group:
                     sub = bank.templates[t][p * width:(p + 1) * width]
                     if sub.size and sub.any():
@@ -251,10 +250,11 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
                         delay = p * width
                         if delay < n:
                             partial[t][delay:] += part[: n - delay].astype(np.complex64)
-                times.append(time.perf_counter() - t0)
+                stamps.append(time.perf_counter())
             for t in group:
                 rows[t] = power_spectrum(partial[t])
-            return times
+            stamps[-1] = time.perf_counter()  # the last launch writes the rows
+            return stamps
 
     elif isinstance(strategy, (NaiveFd, OlsFd)):
         # naive-fd is the one-chunk case: no overlap, and one chunk long
@@ -271,28 +271,30 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
                                   dtype=np.complex64)
 
         def run_group(group):
-            t0 = time.perf_counter()
             for t in group:
                 y = _fd_template(spectra, bank.templates[t], size)
                 if ols:
                     chunk_rows[t] = y
                 else:
                     rows[t] = power_spectrum(y[0, :n])
-            return [time.perf_counter() - t0]
+            return [time.perf_counter()]
 
     else:
         raise ConvolutionError(f"unknown convolution strategy {strategy!r}")
 
+    start = time.perf_counter()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_group, groups))
     else:
         results = [run_group(g) for g in groups]
-    per_launch = [t for times in results for t in times]
-
-    st = StageTiming(per_launch=per_launch,
+    out = (ConvRawOutput(chunks=chunk_rows, overlap=overlap, n_cols=n)
+           if isinstance(strategy, OlsFd) else Fop(rows))
+    # each launch returned the time it completed; sorted, the gaps split the
+    # launch phase, which the last launch ends once the output is built
+    stamps = sorted(t for times in results for t in times)
+    stamps[-1] = time.perf_counter()
+    st = StageTiming(per_launch=np.diff([start, *stamps]),
                      t_input_transform=input_transform_time,
                      input_transforms=input_transforms)
-    if isinstance(strategy, OlsFd):
-        return ConvRawOutput(chunks=chunk_rows, overlap=overlap, n_cols=n), st
-    return Fop(rows), st
+    return out, st

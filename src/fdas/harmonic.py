@@ -20,7 +20,6 @@ n_tiles x n_hp x n_cand points plus ties.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,7 +294,6 @@ class HmRunStats:
 
     points_read: int = 0
     plane_writes: int = 0
-    elapsed: float = 0.0
 
 
 def _add_stretched(hp: np.ndarray, src: np.ndarray, k: int, c0: int) -> None:
@@ -348,10 +346,8 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
     standard plane (either orientation). All accumulate over the same bounded
     tiles, differing in source reader, tile group width and access statistics.
     Each tile keeps its n_cand strongest points per harmonic for the one final
-    sort. ``stats.elapsed`` is the wall span of the whole call, selection
-    included.
+    sort.
     """
-    t_start = time.perf_counter()
     n_hp = config.n_hp
     stats = HmRunStats()
     if isinstance(strategy, MultipleHpR) != isinstance(plane, RFop):
@@ -403,5 +399,4 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
     _check_thresholds(thresholds, n_hp, rows)
     candidates = _accumulate(read, cols, _tile_cols(rows, group), n_hp,
                              thresholds, signed_range(rows), config.n_cand)
-    stats.elapsed = time.perf_counter() - t_start
     return candidates, stats

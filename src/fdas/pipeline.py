@@ -40,11 +40,9 @@ class StageTiming:
     appends the derived totals t_ft, t_fop and t_fdas. Every ``t_*`` field is
     a time and must be >= 0.
 
-    Wall spans: ``t_input_transform``, ``t_discard``, ``t_transpose``,
-    ``t_reorder`` and ``t_hm``, which covers the threshold table and the
-    harmonic sum. Summed busy time: ``per_launch`` holds each launch's own
-    wall time, so with several threads ``t_ft`` adds up time the launches
-    spent side by side and can exceed the convolution's wall span.
+    Every ``t_*`` is a wall span, and ``per_launch`` splits the launch phase
+    at launch completions, so its sum is that phase's wall span at any
+    thread count.
     """
 
     per_launch: list = field(default_factory=list)
@@ -323,40 +321,36 @@ def multi_device_period(st: StageTiming, n: int, scheme: str,
 
 # --- planning and sweeping ------------------------------------------------------
 
-def plan_pipeline(st: StageTiming, dev: DeviceModel | None = None,
+def plan_pipeline(st: StageTiming, dev: DeviceModel,
                   plane_bytes: float = 0.0, n_devices: int = 1,
                   scheme: str = "multi-input",
                   t_limit: float | None = None) -> PipelinePlan:
     """Select buffering (degrading on capacity limits) and predict the ideal,
-    contended (ideal without a device) and per-scheme multi-device periods."""
+    contended and per-scheme multi-device periods."""
     buffering = choose_buffering(st)
     notes = []
     degraded = False
-    if dev is not None and plane_bytes > 0:
-        while buffering > 1 and buffering * plane_bytes > dev.off_chip_capacity:
-            buffering -= 1
-            degraded = True
-        if degraded:
-            notes.append(
-                f"off-chip capacity holds only {buffering} plane(s); "
-                f"buffering degraded accordingly")
-    if t_limit is not None and dev is not None and dev.reconfig_time > t_limit:
+    while buffering > 1 and buffering * plane_bytes > dev.off_chip_capacity:
+        buffering -= 1
+        degraded = True
+    if degraded:
+        notes.append(f"off-chip capacity holds only {buffering} plane(s); "
+                     f"buffering degraded accordingly")
+    if t_limit is not None and dev.reconfig_time > t_limit:
         notes.append(
             f"reconfiguration ({dev.reconfig_time}s) exceeds the time limit "
             f"({t_limit}s); reconfiguration-based scheduling rejected")
-    period = ideal_period(st, buffering)
     return PipelinePlan(
-        buffering=buffering, n_devices=n_devices, scheme=scheme, period=period,
-        t_fdas=total_latency(st),
-        period_contended=(contended_period(st, dev, buffering)
-                          if dev is not None else period),
+        buffering=buffering, n_devices=n_devices, scheme=scheme,
+        period=ideal_period(st, buffering), t_fdas=total_latency(st),
+        period_contended=contended_period(st, dev, buffering),
         period_multidevice={s: multi_device_period(st, n_devices, s, dev=dev,
                                                    plane_bytes=plane_bytes)
                             for s in SCHEMES},
         degraded=degraded, notes=notes)
 
 
-def sweep(rows: list, dev: DeviceModel | None = None, n_devices: int = 1,
+def sweep(rows: list, dev: DeviceModel, n_devices: int = 1,
           plane_bytes: float = 0.0, t_limit: float | None = None) -> list:
     """Evaluate (name, StageTiming) combinations and rank them by period.
 

@@ -219,10 +219,6 @@ class PrepResult:
     t_transpose: float = 0.0
     t_reorder: float = 0.0
 
-    @property
-    def t_total(self) -> float:
-        return self.t_discard + self.t_transpose + self.t_reorder
-
 
 def prepare(result, conv_strategy, hm_strategy, n_hp: int) -> PrepResult:
     """Apply exactly the transforms the combination needs, timing each one.

@@ -164,17 +164,37 @@ class TestRun:
 
 class TestExecute:
     def test_thresholds_are_timed_in_t_hm(self, monkeypatch):
-        from_plane = harmonic.ThresholdTable.from_plane
-
-        def slow_from_plane(cls, *args, **kwargs):
-            time.sleep(0.05)
-            return from_plane(*args, **kwargs)
-
-        monkeypatch.setattr(harmonic.ThresholdTable, "from_plane",
-                            classmethod(slow_from_plane))
+        # the threshold table and candidate selection both fall inside t_hm
         spec = RunSpec(config=FdasConfig.desk_scale(**DESK), seed=3)
         assert spec.threshold is None  # thresholds come from the plane
-        assert execute(spec)[2].t_hm >= 0.05
+        for owner, name in [(harmonic.ThresholdTable, "from_plane"),
+                            (harmonic.CandidateList, "from_points")]:
+            original = getattr(owner, name)
+
+            def slow(cls, *args, original=original, **kwargs):
+                time.sleep(0.05)
+                return original(*args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, classmethod(slow))
+                assert execute(spec)[2].t_hm >= 0.05, name
+
+    def test_stage_times_fit_in_the_run(self, monkeypatch):
+        # two threads run five 20 ms launches side by side, in at least three
+        # rounds; as wall spans the three stages add up to no more than the run
+        fd_template = convolution._fd_template
+
+        def slow_fd_template(*args):
+            time.sleep(0.02)
+            return fd_template(*args)
+
+        monkeypatch.setattr(convolution, "_fd_template", slow_fd_template)
+        spec = RunSpec(config=FdasConfig.desk_scale(**DESK), conv_kind="naive-fd",
+                       threads=2, seed=3)
+        t0 = time.perf_counter()
+        st = execute(spec)[2]
+        wall = time.perf_counter() - t0
+        assert 0.06 <= st.t_ft and st.t_fdas <= wall
 
     def test_raw_chunks_released_before_harmonic_sum(self, monkeypatch):
         raw, alive_at_hm = [], []

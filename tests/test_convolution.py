@@ -1,8 +1,11 @@
 """Convolution strategies against direct-summation references."""
 
+import time
+
 import numpy as np
 import pytest
 
+from fdas import convolution
 from fdas.convolution import (ConvolutionError, ConvRawOutput, NaiveFd,
                               NaiveTd, OlaTd, OlsFd, assemble_ols,
                               convolve_bank, fir_naive_td, fir_ols_fd,
@@ -226,6 +229,27 @@ class TestConvolveBank:
         launches = ola_launch_count(bank.max_taps, 8)
         assert st.n_ft_launch == 6 * launches
         assert all(t >= 0 for t in st.per_launch)
+
+    @pytest.mark.parametrize("strategy", [NaiveFd(), OlaTd(8)],
+                             ids=["fd", "td"])
+    def test_launch_times_split_the_wall_span(self, rng, monkeypatch, strategy):
+        # two threads each write two 20 ms rows side by side: the launches'
+        # own busy times would add up to about twice the wall span, their
+        # split cannot, and it covers the row writes
+        power = convolution.power_spectrum
+
+        def slow_power_spectrum(y):
+            time.sleep(0.02)
+            return power(y)
+
+        monkeypatch.setattr(convolution, "power_spectrum", slow_power_spectrum)
+        x = random_series(rng, 256)
+        bank = small_bank(rng, n_templates=4, max_tap=8)
+        t0 = time.perf_counter()
+        _, st = convolve_bank(x, bank, strategy, threads=2)
+        span = time.perf_counter() - t0
+        assert st.n_ft_launch == 4
+        assert 0.04 <= sum(st.per_launch) <= st.t_ft <= span
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("filters_per_launch", [1, 2])

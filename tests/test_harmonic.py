@@ -1,8 +1,6 @@
 """Harmonic summing: stretch lookups, the reference accumulation, and the
 optimised traversals."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -252,24 +250,6 @@ class TestStrategies:
         assert s_naive.plane_writes == 0
         assert s_naive.points_read == n_points
         assert s_n.points_read <= s_naive.points_read  # block reuse never reads more
-
-    def test_elapsed_spans_candidate_selection(self, rng, monkeypatch):
-        cfg = cfg_for(9, 64)
-        fop = Fop(random_plane(rng, 9, 64))
-        table = ThresholdTable.from_plane(fop, cfg.n_hp, sigma_factor=1.0)
-        from_points = CandidateList.from_points
-
-        def slow_from_points(cls, *args):
-            time.sleep(0.05)
-            return from_points(*args)
-
-        monkeypatch.setattr(CandidateList, "from_points",
-                            classmethod(slow_from_points))
-        for plane, strategy in [(fop, SingleHp()), (fop, NaiveMultipleHp()),
-                                (fop, MultipleHpN(4)),
-                                (reorder(fop, 8, cfg.n_hp), MultipleHpR(8, 4))]:
-            _, stats = harmonic_sum(plane, strategy, table, cfg)
-            assert stats.elapsed >= 0.05, strategy.kind
 
     def test_streamed_and_blockwise_agree(self, rng):
         cfg = cfg_for(9, 64)

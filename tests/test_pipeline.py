@@ -360,7 +360,7 @@ class TestPlanPipeline:
 
 class TestSweep:
     def test_single_synthetic_combination(self):
-        report = sweep([("balanced", totals(1.0, 1.0, 1.0))])
+        report = sweep([("balanced", totals(1.0, 1.0, 1.0))], DeviceModel.nominal())
         assert len(report) == 1
         row = report[0]
         assert row["buffering"] == 3
@@ -369,18 +369,18 @@ class TestSweep:
 
     def test_empty_rejected(self):
         with pytest.raises(ModelError):
-            sweep([])
+            sweep([], DeviceModel.nominal())
 
     @pytest.mark.parametrize("n_devices", [1, 3])
-    @pytest.mark.parametrize("dev", [None, DeviceModel(40.0, 1e3, 2.0, 1.0)],
-                             ids=["no-device", "device"])
+    @pytest.mark.parametrize("dev", [DeviceModel(40.0, 1e3, 2.0, 1.0)],
+                             ids=["device"])
     def test_rows_are_plan_pipeline_evaluations(self, dev, n_devices):
         # demands above the 40 B/s bandwidth make the contended period differ
         rows = [(f"r{i}", totals(*t, demands={"ft": 30.0, "discard": 25.0,
                                               "hm": 50.0}))
                 for i, t in enumerate([(1.0, 2.0, 0.5), (3.0, 0.2, 0.4),
                                        (0.7, 0.7, 0.7)])]
-        plane_bytes = 0.0 if dev is None else 64.0  # the host link needs a device
+        plane_bytes = 64.0
         report = sweep(rows, dev, n_devices=n_devices, plane_bytes=plane_bytes,
                        t_limit=0.5)
         for name, st in rows:
@@ -389,18 +389,17 @@ class TestSweep:
             assert row["period_ideal"] == plan.period
             assert row["period_contended"] == plan.period_contended
             assert row["period_multidevice"] == plan.period_multidevice
-        if dev is not None:
-            assert any(r["period_contended"] > r["period_ideal"] for r in report)
+        assert any(r["period_contended"] > r["period_ideal"] for r in report)
 
     def test_identical_rows_stable_order(self):
         rows = [("a", totals(1, 1, 1)), ("b", totals(1, 1, 1))]
-        report = sweep(rows)
+        report = sweep(rows, DeviceModel.nominal())
         assert [r["combination"] for r in report] == ["a", "b"]
 
     def test_reference_families_rank_chunked_fd_naive_multi_first(self):
         families = [(name, reference_timing(t, p, b))
                     for name, t, p, b in REFERENCE_ROWS[:11]]
-        report = sweep(families)
+        report = sweep(families, DeviceModel.nominal())
         assert report[0]["combination"] == "aols-2048+naive-multi"
         assert report[0]["period_ideal"] == 570
 
@@ -410,7 +409,8 @@ class TestSweep:
             assert choose_buffering(st) == buffering, name
 
     def test_report_files(self, tmp_path):
-        report = sweep([("one", totals(2.0, 1.0, 4.0))], n_devices=3)
+        report = sweep([("one", totals(2.0, 1.0, 4.0))], DeviceModel.nominal(),
+                       n_devices=3)
         write_report_json(report, tmp_path / "report.json")
         write_report_csv(report, tmp_path / "report.csv")
         loaded = json.loads((tmp_path / "report.json").read_text())

@@ -198,7 +198,7 @@ class TestPrepare:
         fop = Fop(random_plane(rng, 5, 32))
         pr = prepare(fop, OlaTd(8), NaiveMultipleHp(), n_hp=4)
         assert pr.plane is fop
-        assert pr.t_total == 0.0
+        assert (pr.t_discard, pr.t_transpose, pr.t_reorder) == (0.0, 0.0, 0.0)
         assert (pr.b_discard, pr.b_transpose, pr.b_reorder) == (False, False, False)
 
     def test_transpose_only_path(self, rng):
