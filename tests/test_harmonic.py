@@ -1,6 +1,8 @@
 """Harmonic summing: stretch lookups, the reference accumulation, and the
 optimised traversals."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fdas.harmonic import (CANDIDATE_DTYPE, CandidateList, HarmonicError,
                            MultipleHpN, MultipleHpR, NaiveMultipleHp, SingleHp,
                            ThresholdTable, harmonic_sum, harmonic_sum_naive,
                            stretch_lookup)
+from fdas.harness import RunSpec, execute
 from fdas.prep import TILE_POINTS, _tile_cols, reorder, transpose
 
 from conftest import random_plane, select_candidates, stretched_sums
@@ -250,6 +253,21 @@ class TestStrategies:
         assert s_naive.plane_writes == 0
         assert s_naive.points_read == n_points
         assert s_n.points_read <= s_naive.points_read  # block reuse never reads more
+
+    def test_elapsed_spans_candidate_selection(self, monkeypatch):
+        # execute's t_hm is the stage's one clock; selection falls inside it
+        from_points = CandidateList.from_points
+
+        def slow_from_points(cls, *args):
+            time.sleep(0.05)
+            return from_points(*args)
+
+        monkeypatch.setattr(CandidateList, "from_points",
+                            classmethod(slow_from_points))
+        config = cfg_for(9, 1024)
+        for hm_kind in harmonic.HM_KINDS:
+            spec = RunSpec(config=config, hm_kind=hm_kind, seed=3)
+            assert execute(spec)[2].t_hm >= 0.05, hm_kind
 
     def test_streamed_and_blockwise_agree(self, rng):
         cfg = cfg_for(9, 64)
