@@ -110,7 +110,8 @@ def load_config(path) -> FdasConfig:
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ConfigError(f"{key}: expected an integer, got {val!r}")
         elif key in _FLOAT_FIELDS:
-            if val is not None and not isinstance(val, (int, float)):
+            if val is not None and (isinstance(val, bool)
+                                    or not isinstance(val, (int, float))):
                 raise ConfigError(f"{key}: expected a number, got {val!r}")
         values[key] = val
     return FdasConfig(**values)

@@ -7,12 +7,12 @@ threshold are selected, capped per harmonic. The brute-force accumulation is
 the reference. The four traversal strategies share one accumulation over
 column tiles of about ``prep.TILE_POINTS`` plane points, so their time is
 linear in the plane size; they differ only in the source they read (the plane
-or the reordered plane), the column-group width a tile is made of, and the
-memory traffic they model, and must emit bit-identical candidate lists. Tiles
-are channel-major (column x template row). Each harmonic k is read at source
-resolution, one row per source column, and each source column is added in
-place to the k output columns it feeds through a broadcast view, so no
-k-stretched tile is gathered. Each tile passes on only its n_cand strongest
+or the reordered plane) and the memory traffic they model, and must emit
+bit-identical candidate lists. Tiles are channel-major (column x template
+row), and their width depends on the plane alone. Each harmonic k is read at
+source resolution, one row per source column, and each source column is
+added in place to the k output columns it feeds through a broadcast view, so
+no k-stretched tile is gathered. Each tile passes on only its n_cand strongest
 points per harmonic (ties included), so the one final sort sees at most
 n_tiles x n_hp x n_cand points plus ties.
 """
@@ -173,9 +173,6 @@ class CandidateList:
 
     def __len__(self) -> int:
         return self.entries.size
-
-    def count(self, k: int) -> int:
-        return int(np.count_nonzero(self.entries["harmonic"] == k))
 
     def same_as(self, other: "CandidateList") -> bool:
         if self.entries.size != other.entries.size:
@@ -344,9 +341,9 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
 
     The block-streaming strategy needs the reordered plane; the others need a
     standard plane (either orientation). All accumulate over the same bounded
-    tiles, differing in source reader, tile group width and access statistics.
-    Each tile keeps its n_cand strongest points per harmonic for the one final
-    sort.
+    tiles, sized by the plane alone, differing in source reader and access
+    statistics. Each tile keeps its n_cand strongest points per harmonic for
+    the one final sort.
     """
     n_hp = config.n_hp
     stats = HmRunStats()
@@ -362,9 +359,11 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
             raise HarmonicError(
                 f"strategy processes {strategy.cols_per_group} columns per group "
                 f"but the reordered plane has {plane.block_cols}-column blocks")
-        rows, cols, group = plane.n_rows, plane.n_chan, plane.block_cols
+        rows, cols = plane.n_rows, plane.n_chan
 
-        def read(k, c0, c1):  # one output column in the tile per source column
+        # one output column in the tile per source column; each is looked up
+        # through the block that holds it, so a tile may split a block
+        def read(k, c0, c1):
             src = np.arange(c0 // k, (c1 - 1) // k + 1) * k
             return plane.stretched(k, np.maximum(c0, src)).T
 
@@ -383,20 +382,19 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
         if isinstance(strategy, (SingleHp, NaiveMultipleHp)):
             # every harmonic reads the whole plane, no reuse; single also
             # writes each harmonic plane it builds off-chip
-            group = 1
             stats.points_read = n_hp * rows * cols
             if isinstance(strategy, SingleHp):
                 stats.plane_writes = stats.points_read
         elif isinstance(strategy, MultipleHpN):
             # each column group loads the distinct stretched rows of its sections
-            group = strategy.cols_per_group
-            _, width, _, _ = _section_geometry(cols, group, n_hp, rows)
+            _, width, _, _ = _section_geometry(cols, strategy.cols_per_group,
+                                               n_hp, rows)
             distinct = [np.unique(row_maps[k]).size for k in range(1, n_hp + 1)]
             stats.points_read = int(width.sum(axis=0) @ distinct)
         else:
             raise HarmonicError(f"unknown harmonic strategy {strategy!r}")
 
     _check_thresholds(thresholds, n_hp, rows)
-    candidates = _accumulate(read, cols, _tile_cols(rows, group), n_hp,
+    candidates = _accumulate(read, cols, _tile_cols(rows, 1), n_hp,
                              thresholds, signed_range(rows), config.n_cand)
     return candidates, stats

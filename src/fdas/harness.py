@@ -53,17 +53,6 @@ def _make_strategy(kinds: dict, stage: str, kind: str, *params):
         raise SpecError(str(exc)) from exc
 
 
-def make_conv_strategy(kind: str, param: int | None = None):
-    """Sub-filter width (ola-td) or chunk size (ols-fd) from ``param``."""
-    return _make_strategy(conv.CONV_KINDS, "convolution", kind, param)
-
-
-def make_hm_strategy(kind: str, cols: int | None = None, ppi: int | None = None):
-    """Columns per group (multi-n, multi-r) from ``cols``, points per work
-    item (multi-r) from ``ppi``."""
-    return _make_strategy(hm.HM_KINDS, "harmonic", kind, cols, ppi)
-
-
 @dataclass
 class RunSpec:
     """One end-to-end pipeline run: combination, parameters, seed, outputs."""
@@ -91,12 +80,20 @@ class RunSpec:
                 raise SpecError(f"{name} must be >= 1")
         if self.noise_sigma < 0:
             raise SpecError("noise_sigma must be >= 0")
+        if self.threshold is not None:
+            with np.errstate(over="ignore"):  # held as float32 in the table
+                level = np.float32(self.threshold)
+            if not 0 < level < np.inf:
+                raise SpecError("threshold must be finite and > 0 as a float32, "
+                                f"got {self.threshold}")
         if self.scheme not in pl.SCHEMES:
             raise SpecError(f"scheme must be one of {pl.SCHEMES}")
 
     def strategies(self):
-        conv_s = make_conv_strategy(self.conv_kind, self.conv_param)
-        hm_s = make_hm_strategy(self.hm_kind, self.hm_cols, self.hm_ppi)
+        conv_s = _make_strategy(conv.CONV_KINDS, "convolution", self.conv_kind,
+                                self.conv_param)
+        hm_s = _make_strategy(hm.HM_KINDS, "harmonic", self.hm_kind,
+                              self.hm_cols, self.hm_ppi)
         n_tap_cap = self.config.n_tap
         if isinstance(conv_s, conv.OlsFd) and conv_s.chunk <= n_tap_cap - 1:
             raise SpecError(
@@ -131,7 +128,7 @@ def execute(spec: RunSpec):
                                     filters_per_launch=spec.filters_per_launch,
                                     threads=spec.threads)
     raw_bytes = result.chunks.nbytes if isinstance(result, conv.ConvRawOutput) else 0
-    pr = prep.prepare(result, conv_s, hm_s, cfg.n_hp)
+    pr = prep.prepare(result, hm_s, cfg.n_hp)
     del result  # the raw overlap-save chunks are 2.5x the plane
     st.t_discard, st.t_transpose, st.t_reorder = (pr.t_discard, pr.t_transpose,
                                                   pr.t_reorder)
@@ -252,10 +249,10 @@ def verification_checks(scale: int = 2 ** 10, seed: int = 0,
         "multi-n": hm.MultipleHpN(2),
         "multi-r": hm.MultipleHpR(16, 4),
     }
-    rfop = prep.reorder(fop, 16, cfg.n_hp)
+    planes = {name: prep.prepare(fop, strat, cfg.n_hp).plane
+              for name, strat in hm_strategies.items()}
     for name, strat in hm_strategies.items():
-        plane = rfop if name == "multi-r" else fop
-        cands, _ = hm.harmonic_sum(plane, strat, thresholds, cfg)
+        cands, _ = hm.harmonic_sum(planes[name], strat, thresholds, cfg)
         ok = cands.same_as(reference)
         results.append(CheckResult(
             f"harmonic {name} vs reference", ok,
@@ -268,7 +265,7 @@ def verification_checks(scale: int = 2 ** 10, seed: int = 0,
         k = int(probe.integers(1, cfg.n_hp + 1))
         i = int(probe.integers(-(cfg.n_temp - 1) // 2, (cfg.n_temp - 1) // 2 + 1))
         j = int(probe.integers(0, cfg.n_chan))
-        if rfop.lookup(k, i, j) != hm.stretch_lookup(fop, k, i, j):
+        if planes["multi-r"].lookup(k, i, j) != hm.stretch_lookup(fop, k, i, j):
             ok = False
             break
     results.append(CheckResult(
@@ -287,13 +284,15 @@ def measure_sweep(config: FdasConfig, combos: list | None = None, reps: int = 5,
         combos = [(c, h) for c in ALL_CONV for h in ALL_HM]
     if not combos:
         raise SpecError("sweep needs at least one combination")
+    if reps < 1:
+        raise SpecError(f"reps must be >= 1, got {reps}")
     rows = []
     plane_bytes = 0
     for conv_kind, hm_kind in combos:
         spec = RunSpec(config=config, conv_kind=conv_kind, hm_kind=hm_kind,
                        seed=seed, threads=threads)
         runs = []
-        for _ in range(max(1, reps)):
+        for _ in range(reps):
             fop, _, st, _ = execute(spec)
             runs.append(st)
             plane_bytes = fop.nbytes

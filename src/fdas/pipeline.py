@@ -305,8 +305,6 @@ def multi_device_period(st: StageTiming, n: int, scheme: str,
     t_ft, t_fop, t_hm = st.stage_times()
     single_input = max(t_ft, t_fop, t_hm / n)
     multi_input = max(t_ft, t_fop, t_hm) / n
-    if multi_input > single_input:
-        raise ModelError("partitioning inequality violated")  # mathematically impossible
     if scheme == "single-input":
         return single_input
     if scheme == "multi-input":
@@ -385,18 +383,15 @@ def write_report_json(report: list, path) -> None:
 
 
 def write_report_csv(report: list, path) -> None:
+    """One column per scalar report field, then one per multi-device scheme."""
     cols = ["combination", "t_ft", "t_fop", "t_hm", "t_fdas", "buffering",
             "period_ideal", "period_contended"]
-    cols += [f"period_{scheme}" for scheme in SCHEMES]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
+        writer.writerow(cols + [f"period_{scheme}" for scheme in SCHEMES])
         for row in report:
-            flat = [row["combination"], row["t_ft"], row["t_fop"], row["t_hm"],
-                    row["t_fdas"], row["buffering"], row["period_ideal"],
-                    row["period_contended"]]
-            flat += [row["period_multidevice"][scheme] for scheme in SCHEMES]
-            writer.writerow(flat)
+            writer.writerow([row[c] for c in cols] +
+                            [row["period_multidevice"][s] for s in SCHEMES])
 
 
 def load_timing_rows(path) -> list:

@@ -4,10 +4,11 @@ Three transforms adapt any convolution output to any harmonic-summing input:
 discard strips the invalid chunk prefixes of overlap-save output, transpose
 flips the plane orientation, and reorder builds the duplicated/padded
 streaming layout consumed by the block-streaming harmonic strategy. Which
-subset fires is a fixed function of the (convolution, harmonic) combination;
-when none is needed the preparation is the identity with zero cost. Reorder
-and every traversal of ``fdas.harmonic`` run over tiles of about
-``TILE_POINTS`` plane points: linear in plane size, with bounded index arrays.
+subset fires is read off the convolution result (chunked or not) and the
+harmonic strategy's kind; when none is needed the preparation is the
+identity with zero cost. Reorder and every traversal of ``fdas.harmonic``
+run over tiles of about ``TILE_POINTS`` plane points: linear in plane size,
+with bounded index arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .core import (FdasError, Fop, next_pow2, signed_range, storage_row,
                    template_offset)
-from .convolution import ConvRawOutput, OlsFd, power_spectrum
+from .convolution import ConvRawOutput, power_spectrum
 
 TILE_POINTS = 1 << 16  # plane points per tile of whole blocks
 
@@ -180,7 +181,7 @@ def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
 
 # --- combination matrix -----------------------------------------------------------
 
-def required_transforms(conv_strategy, hm_strategy) -> tuple[bool, bool, bool]:
+def required_transforms(chunked: bool, hm_strategy) -> tuple[bool, bool, bool]:
     """(discard, transpose, reorder) booleans for a kernel combination.
 
     Chunked overlap-save output always needs the discard; the transpose and
@@ -189,21 +190,12 @@ def required_transforms(conv_strategy, hm_strategy) -> tuple[bool, bool, bool]:
     raw-template orientation directly after a time-domain kernel, but the
     chunked frequency path hands them a transposed plane.
     """
-    from .harmonic import HM_KINDS  # harmonic imports this module
-
-    hm_kind = getattr(hm_strategy, "kind", None)
-    if hm_kind not in HM_KINDS:
+    needs_transpose = {"single": False, "naive-multi": chunked,
+                       "multi-n": True, "multi-r": True}
+    kind = getattr(hm_strategy, "kind", None)
+    if kind not in needs_transpose:
         raise PrepError(f"unknown harmonic strategy {hm_strategy!r}")
-    chunked = isinstance(conv_strategy, OlsFd)
-    b_discard = chunked
-    if hm_kind in ("multi-n", "multi-r"):
-        b_transpose = True
-    elif hm_kind == "naive-multi":
-        b_transpose = chunked
-    else:
-        b_transpose = False
-    b_reorder = hm_kind == "multi-r"
-    return b_discard, b_transpose, b_reorder
+    return chunked, needs_transpose[kind], kind == "multi-r"
 
 
 @dataclass
@@ -220,21 +212,18 @@ class PrepResult:
     t_reorder: float = 0.0
 
 
-def prepare(result, conv_strategy, hm_strategy, n_hp: int) -> PrepResult:
+def prepare(result, hm_strategy, n_hp: int) -> PrepResult:
     """Apply exactly the transforms the combination needs, timing each one.
 
-    The transforms are those ``required_transforms`` derives from the
-    combination; their flags and wall times become the preparation stage of
-    the throughput model. When no transform is needed the input plane passes
-    through untouched and the preparation cost is zero.
+    ``required_transforms`` derives them from the result's type (chunked
+    overlap-save output or a plane) and the harmonic strategy; their flags
+    and wall times become the preparation stage of the throughput model.
+    When no transform is needed the input plane passes through untouched and
+    the preparation cost is zero.
     """
-    b1, b2, b3 = required_transforms(conv_strategy, hm_strategy)
+    b1, b2, b3 = required_transforms(isinstance(result, ConvRawOutput),
+                                     hm_strategy)
     t_discard = t_transpose = t_reorder = 0.0
-    if b1 != isinstance(result, ConvRawOutput):
-        raise PrepError(
-            f"combination {'needs' if b1 else 'takes no'} chunked output to "
-            f"discard, got {type(result).__name__}")
-
     t0 = time.perf_counter()
     fop = fop_from(result)
     if b1:

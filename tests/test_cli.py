@@ -1,15 +1,17 @@
 """Command-line harness: artifacts, determinism, exit codes."""
 
 import argparse
+import itertools
 import json
 import time
+import types
 import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from fdas import convolution, harmonic
+from fdas import convolution, harmonic, harness, prep
 from fdas.cli import build_parser, main
 from fdas.convolution import CONV_KINDS
 from fdas.core import FdasConfig, load_fop, save_config
@@ -101,7 +103,12 @@ class TestRun:
                                        ("--hm", "single", "--hm-cols", "4"),
                                        ("--filters-per-launch", "0"),
                                        ("--templates", "0"),
-                                       ("--noise", "-1")])
+                                       ("--noise", "-1"),
+                                       ("--threshold", "0"),
+                                       ("--threshold", "-1"),
+                                       ("--threshold", "nan"),
+                                       ("--threshold", "inf"),
+                                       ("--threshold", "1e39")])
     def test_zero_strategy_parameter_exits_2(self, tmp_path, desk_config,
                                              flags):
         # 0 is a value to validate, not a request for the default; a parameter
@@ -286,23 +293,37 @@ class TestSweep:
         assert run_cli("sweep", "--timings", str(tfile),
                        "--out", str(tmp_path / "s")) == 2
 
-    def test_measured_mode_repeatability(self, tmp_path):
-        # measure the slowest combination at a scale where the period is
-        # dominated by real work, so run-to-run jitter stays within 20%
+    def test_measured_mode_repeatability(self, tmp_path, monkeypatch):
+        # Two sweeps read the same injected clock, restarted for each, so
+        # their reports must be byte-identical: the wall clock would only
+        # measure the machine's jitter. The clock's step grows with every
+        # call, so the three repetitions read different times and the
+        # median repetition is a real choice.
         cfg_path = tmp_path / "cfg.json"
         save_config(FdasConfig.desk_scale(), cfg_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         for out in (out1, out2):
+            calls = itertools.count(1)
+            now = [0.0]
+
+            def perf_counter():
+                now[0] += 1e-4 * next(calls)
+                return now[0]
+
+            clock = types.SimpleNamespace(perf_counter=perf_counter)
+            for module in (convolution, prep, harness):
+                monkeypatch.setattr(module, "time", clock)
             assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out),
                            "--reps", "3", "--conv", "ols-fd",
                            "--hm", "multi-n") == 0
-        r1 = json.loads((out1 / "report.json").read_text())
-        r2 = json.loads((out2 / "report.json").read_text())
-        assert {r["combination"] for r in r1} == {r["combination"] for r in r2}
-        p1 = {r["combination"]: r["period_ideal"] for r in r1}
-        p2 = {r["combination"]: r["period_ideal"] for r in r2}
-        for combo in p1:
-            assert abs(p1[combo] - p2[combo]) / max(p1[combo], 1e-9) < 0.2
+        for name in ("report.json", "report.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_nonpositive_reps_exit_2(self, tmp_path, reps):
+        assert run_cli("sweep", "--out", str(tmp_path / "s"), "--reps", reps,
+                       "--conv", "naive-td", "--hm", "single") == 2
+        assert not (tmp_path / "s").exists()
 
 
 class TestRunSpecValidation:

@@ -57,6 +57,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_temp"):
             load_config(path)
 
+    @pytest.mark.parametrize("raw", [{"t_limit": True}, {"t_obs": False}],
+                             ids=["t_limit-true", "t_obs-false"])
+    def test_boolean_for_float_field_named(self, tmp_path, raw):
+        # JSON booleans are ints to Python; a float field rejects them as an
+        # integer field does, naming the field and the type
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        key = next(iter(raw))
+        with pytest.raises(ConfigError, match=f"{key}: expected a number"):
+            load_config(path)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

@@ -356,14 +356,16 @@ class TestMultiTilePlane:
         monkeypatch.setattr(harmonic, "_accumulate",
                             lambda read, n_cols, tile_cols, *rest:
                             calls.append((n_cols, tile_cols)))
-        for plane, strategy, group in [
-                (fop, SingleHp(), 1), (fop, NaiveMultipleHp(), 1),
-                (fop, MultipleHpN(3), 3),
-                (reorder(fop, 16, cfg.n_hp), MultipleHpR(16, 4), 16)]:
+        # the tile width depends on the plane alone, not on a strategy's
+        # column groups or blocks
+        assert _tile_cols(rows, 1) < cols  # the plane spans tiles
+        for plane, strategy in [
+                (fop, SingleHp()), (fop, NaiveMultipleHp()),
+                (fop, MultipleHpN(7)),
+                (reorder(fop, 17, cfg.n_hp), MultipleHpR(17, 4))]:
             calls.clear()
             harmonic_sum(plane, strategy, table, cfg)
-            assert _tile_cols(rows, group) < cols  # the plane spans tiles
-            assert calls == [(cols, _tile_cols(rows, group))], strategy.kind
+            assert calls == [(cols, _tile_cols(rows, 1))], strategy.kind
 
     @pytest.mark.parametrize("rows,cols,group_cols", [
         (9, 4096, 1), (21, 8192, 16), (21, 8192, 3), (17, 4096, 5)])
@@ -397,7 +399,7 @@ class TestTilePreCap:
         ref = oracle_list(points, cfg.n_cand)
         assert len(ref) == cfg.n_hp * cfg.n_cand
         assert naive.same_as(ref)
-        assert _tile_cols(rows, 8) < cols  # the plane spans tiles
+        assert _tile_cols(rows, 1) < cols  # the plane spans tiles
         for name, (cands, _) in run_all_strategies(fop, table, cfg).items():
             assert cands.same_as(ref), name
 
@@ -418,14 +420,14 @@ class TestTilePreCap:
         monkeypatch.setattr(CandidateList, "from_points", classmethod(spy))
         _, ref = harmonic_sum_naive(fop, table, cfg)
         assert sizes == [cfg.n_hp * rows * cols]  # the reference is uncapped
-        for plane, strategy, group in [
-                (fop, SingleHp(), 1), (transpose(fop), NaiveMultipleHp(), 1),
-                (fop, MultipleHpN(3), 3),
-                (reorder(fop, 16, cfg.n_hp), MultipleHpR(16, 4), 16)]:
+        n_tiles = -(-cols // _tile_cols(rows, 1))
+        assert n_tiles > 1
+        for plane, strategy in [
+                (fop, SingleHp()), (transpose(fop), NaiveMultipleHp()),
+                (fop, MultipleHpN(3)),
+                (reorder(fop, 16, cfg.n_hp), MultipleHpR(16, 4))]:
             sizes.clear()
             cands, _ = harmonic_sum(plane, strategy, table, cfg)
-            n_tiles = -(-cols // _tile_cols(rows, group))
-            assert n_tiles > 1
             assert len(sizes) == 1, strategy.kind
             assert sizes[0] <= n_tiles * cfg.n_hp * cfg.n_cand, strategy.kind
             assert cands.same_as(ref), strategy.kind

@@ -172,6 +172,19 @@ class TestReorder:
 
 
 class TestCombinationMatrix:
+    @pytest.mark.parametrize("chunked,hm_s,expected", [
+        (False, SingleHp(), (False, False, False)),
+        (False, NaiveMultipleHp(), (False, False, False)),
+        (False, MultipleHpN(1), (False, True, False)),
+        (False, MultipleHpR(16, 4), (False, True, True)),
+        (True, SingleHp(), (True, False, False)),
+        (True, NaiveMultipleHp(), (True, True, False)),
+        (True, MultipleHpN(1), (True, True, False)),
+        (True, MultipleHpR(16, 4), (True, True, True)),
+    ], ids=lambda v: getattr(v, "kind", None))
+    def test_table_over_chunked_and_kind(self, chunked, hm_s, expected):
+        assert required_transforms(chunked, hm_s) == expected
+
     @pytest.mark.parametrize("conv_s,hm_s,expected", [
         (OlaTd(128), SingleHp(), (False, False, False)),
         (NaiveTd(), SingleHp(), (False, False, False)),
@@ -185,25 +198,31 @@ class TestCombinationMatrix:
         (NaiveFd(), NaiveMultipleHp(), (False, False, False)),
         (NaiveFd(), MultipleHpN(1), (False, True, False)),
     ])
-    def test_required_transforms(self, conv_s, hm_s, expected):
-        assert required_transforms(conv_s, hm_s) == expected
+    def test_required_transforms(self, rng, conv_s, hm_s, expected):
+        # the convolution result's type alone says which transforms fire
+        bank = FilterBank([random_taps(rng, 20) for _ in range(3)])
+        result, _ = convolve_bank(random_series(rng, 4096), bank, conv_s)
+        chunked = isinstance(result, ConvRawOutput)
+        assert required_transforms(chunked, hm_s) == expected
+        pr = prepare(result, hm_s, n_hp=2)
+        assert (pr.b_discard, pr.b_transpose, pr.b_reorder) == expected
 
     def test_unknown_strategy(self):
         with pytest.raises(PrepError):
-            required_transforms(NaiveTd(), object())
+            required_transforms(False, object())
 
 
 class TestPrepare:
     def test_identity_passthrough_costs_nothing(self, rng):
         fop = Fop(random_plane(rng, 5, 32))
-        pr = prepare(fop, OlaTd(8), NaiveMultipleHp(), n_hp=4)
+        pr = prepare(fop, NaiveMultipleHp(), n_hp=4)
         assert pr.plane is fop
         assert (pr.t_discard, pr.t_transpose, pr.t_reorder) == (0.0, 0.0, 0.0)
         assert (pr.b_discard, pr.b_transpose, pr.b_reorder) == (False, False, False)
 
     def test_transpose_only_path(self, rng):
         fop = Fop(random_plane(rng, 5, 32))
-        pr = prepare(fop, OlaTd(8), MultipleHpN(2), n_hp=4)
+        pr = prepare(fop, MultipleHpN(2), n_hp=4)
         assert pr.plane.channel_major
         assert pr.b_transpose and not pr.b_discard and not pr.b_reorder
         assert np.array_equal(pr.plane.template_major(), fop.values)
@@ -212,14 +231,7 @@ class TestPrepare:
         x = random_series(rng, 1024)
         bank = FilterBank([random_taps(rng, 20) for _ in range(3)])
         raw, _ = convolve_bank(x, bank, OlsFd(128))
-        pr = prepare(raw, OlsFd(128), MultipleHpR(8, 4), n_hp=2)
+        pr = prepare(raw, MultipleHpR(8, 4), n_hp=2)
         assert isinstance(pr.plane, RFop)
         assert (pr.b_discard, pr.b_transpose, pr.b_reorder) == (True, True, True)
         assert pr.fop.n_templates == 3 and pr.fop.n_channels == 1024
-
-    def test_raw_without_discard_rejected(self, rng):
-        x = random_series(rng, 256)
-        bank = FilterBank([random_taps(rng, 8)])
-        raw, _ = convolve_bank(x, bank, OlsFd(64))
-        with pytest.raises(PrepError):
-            prepare(raw, NaiveTd(), SingleHp(), n_hp=2)
