@@ -93,9 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--timings", metavar="PATH",
                       help="JSON timing rows instead of measuring")
     p_sw.add_argument("--devices", type=int, default=1)
-    p_sw.add_argument("--reps", type=int, default=5,
+    p_sw.set_defaults(seed=None)  # measured-mode flags are None unless given
+    p_sw.add_argument("--reps", type=int,
                       help="repetitions per combination when measuring")
-    p_sw.add_argument("--threads", type=int, default=1)
+    p_sw.add_argument("--threads", type=int)
     p_sw.add_argument("--conv", choices=harness.ALL_CONV, default=None,
                       help="restrict measured sweep to one convolution kind")
     p_sw.add_argument("--hm", choices=harness.ALL_HM, default=None,
@@ -149,7 +150,14 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     dev = pl.DeviceModel.nominal()
     cfg = _load_cfg(args)
+    if args.devices < 1:
+        raise harness.SpecError(f"devices must be >= 1, got {args.devices}")
+    measured = {k: getattr(args, k) for k in ("reps", "threads", "seed", "conv", "hm")}
+    measured = {k: v for k, v in measured.items() if v is not None}
     if args.timings:
+        if measured:
+            raise harness.SpecError(f"--timings does not take --{', --'.join(measured)}"
+                                    " (measured sweeps only)")
         rows = pl.load_timing_rows(args.timings)
         plane_bytes = 0
     else:
@@ -157,7 +165,8 @@ def cmd_sweep(args) -> int:
                   for c in (harness.ALL_CONV if args.conv is None else [args.conv])
                   for h in (harness.ALL_HM if args.hm is None else [args.hm])]
         rows, plane_bytes = harness.measure_sweep(
-            cfg, combos, reps=args.reps, threads=args.threads, seed=args.seed)
+            cfg, combos, **{k: v for k, v in measured.items()
+                            if k not in ("conv", "hm")})
     report = pl.sweep(rows, dev, n_devices=args.devices, plane_bytes=plane_bytes,
                       t_limit=cfg.t_limit)
     out = Path(args.out)  # made only once there is a report to write

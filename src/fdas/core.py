@@ -136,13 +136,6 @@ def storage_row(i: int, n_rows: int) -> int:
     return row
 
 
-def signed_index(row: int, n_rows: int) -> int:
-    """Inverse of storage_row."""
-    if not 0 <= row < n_rows:
-        raise FdasError(f"storage row {row} out of range for {n_rows} rows")
-    return row - template_offset(n_rows)
-
-
 def signed_range(n_rows: int) -> np.ndarray:
     """Signed template indices in storage order."""
     return np.arange(n_rows) - template_offset(n_rows)
@@ -291,23 +284,12 @@ class Fop:
         return self.cols if self.channel_major else self.rows
 
     @property
-    def n_channels(self) -> int:
-        return self.rows if self.channel_major else self.cols
-
-    @property
     def nbytes(self) -> int:
         return self.values.nbytes
 
     def template_major(self) -> np.ndarray:
         """The plane in logical (template, channel) orientation (a view)."""
         return self.values.T if self.channel_major else self.values
-
-    def power(self, i: int, j: int) -> np.float32:
-        """Power at signed template index i, channel j."""
-        row = storage_row(i, self.n_templates)
-        if not 0 <= j < self.n_channels:
-            raise FdasError(f"channel {j} out of range [0, {self.n_channels})")
-        return self.template_major()[row, j]
 
 
 def save_fop(fop: Fop, path) -> None:

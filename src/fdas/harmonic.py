@@ -4,11 +4,12 @@ The plane is stretched by each integer k (truncation toward zero on the
 signed template axis, floor on the channel axis), the stretched planes are
 summed cumulatively, and points exceeding their per-(harmonic, template)
 threshold are selected, capped per harmonic. The brute-force accumulation is
-the reference. The four traversal strategies share one accumulation over
-column tiles of about ``prep.TILE_POINTS`` plane points, so their time is
-linear in the plane size; they differ only in the source they read (the plane
-or the reordered plane) and the memory traffic they model, and must emit
-bit-identical candidate lists. Tiles are channel-major (column x template
+the reference. A harmonic strategy is its traffic formula: ``access_counts``
+gives the off-chip points each one reads and writes, and ``harmonic_sum``
+runs the one accumulation for all four, reading the plane or the reordered
+plane as it is handed, over column tiles of about ``prep.TILE_POINTS`` plane
+points, so its time is linear in the plane size and its candidates are those
+of the reference bit for bit. Tiles are channel-major (column x template
 row), and their width depends on the plane alone. Each harmonic k is read at
 source resolution, one row per source column, and each source column is
 added in place to the k output columns it feeds through a broadcast view, so
@@ -24,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FdasConfig, FdasError, Fop, signed_range, storage_row
+from .core import (FdasConfig, FdasError, Fop, next_pow2, signed_range,
+                   storage_row)
 from .prep import RFop, _section_geometry, _tile_cols, stretch_rows
 
 
 class HarmonicError(FdasError):
-    """Dimension mismatch, bad index, or wrong plane kind for a strategy."""
+    """Dimension mismatch, bad index, unknown strategy, or not a plane."""
 
 
 # --- strategies -----------------------------------------------------------------
@@ -128,9 +130,6 @@ class ThresholdTable:
         if not 1 <= k <= self.n_hp:
             raise HarmonicError(f"harmonic {k} out of range [1, {self.n_hp}]")
         return self.ta[k - 1]
-
-    def value(self, k: int, i: int) -> np.float32:
-        return self.row(k)[storage_row(i, self.n_templates)]
 
 
 # --- candidates -----------------------------------------------------------------
@@ -285,14 +284,6 @@ def harmonic_sum_naive(fop: Fop, thresholds: ThresholdTable,
 
 # --- optimised traversals -------------------------------------------------------------
 
-@dataclass
-class HmRunStats:
-    """Access accounting of one harmonic-summing pass."""
-
-    points_read: int = 0
-    plane_writes: int = 0
-
-
 def _add_stretched(hp: np.ndarray, src: np.ndarray, k: int, c0: int) -> None:
     """Add harmonic k's source to the channel-major tile ``hp`` in place.
 
@@ -335,30 +326,44 @@ def _accumulate(read, cols: int, tile_cols: int, n_hp: int,
     return _select(parts, n_cand)
 
 
-def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
-                 config: FdasConfig):
-    """Run one traversal strategy; candidates match the reference exactly.
+def access_counts(strategy, rows: int, cols: int, n_hp: int) -> tuple[int, int]:
+    """(points read, harmonic-plane points written) off-chip, as modelled,
+    by one strategy's pass over a rows x cols plane.
 
-    The block-streaming strategy needs the reordered plane; the others need a
-    standard plane (either orientation). All accumulate over the same bounded
-    tiles, sized by the plane alone, differing in source reader and access
-    statistics. Each tile keeps its n_cand strongest points per harmonic for
-    the one final sort.
+    ``single`` and ``naive-multi`` read the whole plane per harmonic, and
+    ``single`` writes each harmonic plane it builds. ``multi-n`` loads each
+    column group's distinct stretched rows per harmonic. ``multi-r`` streams
+    whole padded blocks: ``reorder(...).blocks.size`` points.
+    """
+    if isinstance(strategy, (SingleHp, NaiveMultipleHp)):
+        read = n_hp * rows * cols
+        return read, read if isinstance(strategy, SingleHp) else 0
+    if not isinstance(strategy, (MultipleHpN, MultipleHpR)):
+        raise HarmonicError(f"unknown harmonic strategy {strategy!r}")
+    _, width, _, needed = _section_geometry(cols, strategy.cols_per_group,
+                                            n_hp, rows)
+    if isinstance(strategy, MultipleHpR):
+        return width.shape[0] * next_pow2(needed), 0
+    distinct = [np.unique(stretch_rows(rows, k)).size for k in range(1, n_hp + 1)]
+    return int(width.sum(axis=0) @ distinct), 0
+
+
+def harmonic_sum(plane, thresholds: ThresholdTable,
+                 config: FdasConfig) -> CandidateList:
+    """Accumulate harmonics over ``plane``; candidates match the reference
+    exactly.
+
+    The reader follows the plane's type: an ``RFop`` (the reordered plane)
+    is read through its blocks, a ``Fop`` of either orientation directly.
+    Either way the accumulation runs over the same bounded tiles, sized by
+    the plane alone, and each tile keeps its n_cand strongest points per
+    harmonic for the one final sort.
     """
     n_hp = config.n_hp
-    stats = HmRunStats()
-    if isinstance(strategy, MultipleHpR) != isinstance(plane, RFop):
-        raise HarmonicError(f"{strategy!r} cannot run on {type(plane).__name__}:"
-                            " multi-r, and only multi-r, needs the reordered plane")
-
     if isinstance(plane, RFop):
         if plane.n_hp != n_hp:
             raise HarmonicError(
                 f"reordered plane carries {plane.n_hp} harmonics, config wants {n_hp}")
-        if strategy.cols_per_group != plane.block_cols:
-            raise HarmonicError(
-                f"strategy processes {strategy.cols_per_group} columns per group "
-                f"but the reordered plane has {plane.block_cols}-column blocks")
         rows, cols = plane.n_rows, plane.n_chan
 
         # one output column in the tile per source column; each is looked up
@@ -366,35 +371,17 @@ def harmonic_sum(plane, strategy, thresholds: ThresholdTable,
         def read(k, c0, c1):
             src = np.arange(c0 // k, (c1 - 1) // k + 1) * k
             return plane.stretched(k, np.maximum(c0, src)).T
-
-        stats.points_read = plane.total_points  # blocks stream whole, pad included
-    else:
-        if not isinstance(plane, Fop):
-            raise HarmonicError(
-                f"cannot run harmonic summing on {type(plane).__name__}")
+    elif isinstance(plane, Fop):
         tm = plane.template_major()
         rows, cols = tm.shape
         row_maps = {k: stretch_rows(rows, k) for k in range(1, n_hp + 1)}
 
         def read(k, c0, c1):  # only the source columns the tile needs
             return tm[:, c0 // k:(c1 - 1) // k + 1][row_maps[k]].T
-
-        if isinstance(strategy, (SingleHp, NaiveMultipleHp)):
-            # every harmonic reads the whole plane, no reuse; single also
-            # writes each harmonic plane it builds off-chip
-            stats.points_read = n_hp * rows * cols
-            if isinstance(strategy, SingleHp):
-                stats.plane_writes = stats.points_read
-        elif isinstance(strategy, MultipleHpN):
-            # each column group loads the distinct stretched rows of its sections
-            _, width, _, _ = _section_geometry(cols, strategy.cols_per_group,
-                                               n_hp, rows)
-            distinct = [np.unique(row_maps[k]).size for k in range(1, n_hp + 1)]
-            stats.points_read = int(width.sum(axis=0) @ distinct)
-        else:
-            raise HarmonicError(f"unknown harmonic strategy {strategy!r}")
+    else:
+        raise HarmonicError(
+            f"cannot run harmonic summing on {type(plane).__name__}")
 
     _check_thresholds(thresholds, n_hp, rows)
-    candidates = _accumulate(read, cols, _tile_cols(rows, 1), n_hp,
-                             thresholds, signed_range(rows), config.n_cand)
-    return candidates, stats
+    return _accumulate(read, cols, _tile_cols(rows, 1), n_hp,
+                       thresholds, signed_range(rows), config.n_cand)

@@ -140,10 +140,10 @@ def execute(spec: RunSpec):
                                                 pr.fop.n_templates)
     else:
         thresholds = hm.ThresholdTable.from_plane(pr.fop, cfg.n_hp)
-    candidates, stats = hm.harmonic_sum(pr.plane, hm_s, thresholds, cfg)
+    candidates = hm.harmonic_sum(pr.plane, thresholds, cfg)
     st.t_hm = time.perf_counter() - t0
-    st.points_read = stats.points_read
-    st.plane_writes = stats.plane_writes
+    st.points_read, st.plane_writes = hm.access_counts(
+        hm_s, *pr.fop.template_major().shape, cfg.n_hp)
     rfop_bytes = pr.plane.blocks.nbytes if isinstance(pr.plane, prep.RFop) else 0
     attach_demands(st, series.nbytes, pr.fop.nbytes, raw_bytes, rfop_bytes)
     return pr.fop, candidates, st, pr.plane
@@ -251,8 +251,8 @@ def verification_checks(scale: int = 2 ** 10, seed: int = 0,
     }
     planes = {name: prep.prepare(fop, strat, cfg.n_hp).plane
               for name, strat in hm_strategies.items()}
-    for name, strat in hm_strategies.items():
-        cands, _ = hm.harmonic_sum(planes[name], strat, thresholds, cfg)
+    for name, plane in planes.items():
+        cands = hm.harmonic_sum(plane, thresholds, cfg)
         ok = cands.same_as(reference)
         results.append(CheckResult(
             f"harmonic {name} vs reference", ok,

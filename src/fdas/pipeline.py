@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -394,6 +395,19 @@ def write_report_csv(report: list, path) -> None:
                             [row["period_multidevice"][s] for s in SCHEMES])
 
 
+def _check_row_types(entry: dict) -> None:
+    """Reject the field types that the model would only trip over later."""
+    if not isinstance(entry["combination"], str):
+        raise ValueError("'combination' must be a string")
+    demands = entry.get("demands", {})
+    if not isinstance(demands, dict) or not all(  # a bool is no number here
+            type(v) in (int, float) and 0 <= v < math.inf for v in demands.values()):
+        raise ValueError("'demands' must map stage names to finite numbers >= 0")
+    for name in ("b_discard", "b_transpose", "b_reorder"):
+        if not isinstance(entry.get(name, False), bool):
+            raise ValueError(f"'{name}' must be true or false")
+
+
 def load_timing_rows(path) -> list:
     """Load sweep input: a JSON array of {combination, ...timing...} rows."""
     try:
@@ -409,6 +423,7 @@ def load_timing_rows(path) -> list:
         if "combination" not in entry:
             raise ModelError(f"timing file {path}: row {i} missing 'combination'")
         try:
+            _check_row_types(entry)
             rows.append((entry["combination"], StageTiming.from_dict(entry)))
         except (TypeError, ValueError) as exc:
             raise ModelError(f"timing file {path}: row {i}: {exc}") from exc

@@ -116,10 +116,6 @@ class RFop:
     def block_len(self) -> int:
         return self.blocks.shape[1]
 
-    @property
-    def total_points(self) -> int:
-        return self.blocks.size
-
     @cached_property
     def geometry(self):
         """``_section_geometry`` of this plane."""

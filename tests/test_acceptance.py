@@ -20,7 +20,7 @@ from fdas.harness import ALL_CONV, ALL_HM, RunSpec, execute, measure_sweep, run_
 from fdas.pipeline import (DeviceModel, StageTiming, choose_buffering,
                            contended_period, ideal_period, multi_device_period,
                            simulate_overlap, sweep, total_latency)
-from fdas.prep import discard, fop_from, reorder
+from fdas.prep import discard, fop_from, prepare
 
 from conftest import random_plane, random_series, random_taps
 from test_pipeline import REFERENCE_ROWS, reference_timing, step_oracle
@@ -101,14 +101,10 @@ def test_c04_harmonic_strategies_match_reference():
             _, ref = harmonic_sum_naive(fop, table, cfg)
             assert len(ref) > 0
             block_cols = 16
-            rfop = reorder(fop, block_cols, 8)
-            runs = [
-                harmonic_sum(fop, SingleHp(), table, cfg),
-                harmonic_sum(fop, NaiveMultipleHp(), table, cfg),
-                harmonic_sum(fop, MultipleHpN(4), table, cfg),
-                harmonic_sum(rfop, MultipleHpR(block_cols, 4), table, cfg),
-            ]
-            for cands, _ in runs:
+            runs = [harmonic_sum(prepare(fop, strategy, 8).plane, table, cfg)
+                    for strategy in (SingleHp(), NaiveMultipleHp(),
+                                     MultipleHpN(4), MultipleHpR(block_cols, 4))]
+            for cands in runs:
                 assert cands.same_as(ref), instance
 
 
@@ -224,7 +220,7 @@ def test_c10_end_to_end_tone_recovery():
             fop, _, _, plane = execute(spec)
             table = ThresholdTable.constant(per_k.astype(np.float32),
                                             cfg.n_hp, fop.n_templates)
-            cands, _ = harmonic_sum(plane, NaiveMultipleHp(), table, cfg)
+            cands = harmonic_sum(plane, table, cfg)
             if channel in cands.channels_for(1):
                 hits += 1
         assert hits >= 95, f"recovered {hits}/100"

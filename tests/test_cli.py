@@ -277,8 +277,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("rows", [
         [1], [{"combination": "x", "t_ft": "a"}],
-        [{"combination": "x", "per_launch": [1], "t_klo": None}]],
-        ids=["not-an-object", "text-time", "null-time"])
+        [{"combination": "x", "per_launch": [1], "t_klo": None}],
+        [{"combination": "x", "per_launch": [1], "demands": [1]}],
+        [{"combination": "x", "per_launch": [1], "demands": {"hm": "x"}}],
+        [{"combination": "x", "per_launch": [1], "b_discard": "no"}],
+        [{"combination": ["x"], "t_ft": 1}]],
+        ids=["not-an-object", "text-time", "null-time", "list-demands",
+             "text-demand", "text-flag", "list-combination"])
     def test_malformed_timing_row_exits_2(self, tmp_path, capsys, rows):
         tfile = tmp_path / "bad.json"
         tfile.write_text(json.dumps(rows))
@@ -323,6 +328,29 @@ class TestSweep:
     def test_nonpositive_reps_exit_2(self, tmp_path, reps):
         assert run_cli("sweep", "--out", str(tmp_path / "s"), "--reps", reps,
                        "--conv", "naive-td", "--hm", "single") == 2
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("flag", [
+        ["--reps", "0"], ["--reps", "5"], ["--threads", "0"], ["--seed", "3"],
+        ["--conv", "ols-fd"], ["--hm", "single"]], ids=lambda f: " ".join(f))
+    def test_measured_flags_with_timings_exit_2(self, tmp_path, capsys, flag):
+        tfile = tmp_path / "timings.json"
+        tfile.write_text(json.dumps(
+            [{"combination": "platform-a", "t_ft": 347, "t_fop": 560, "t_hm": 122}]))
+        assert run_cli("sweep", "--timings", str(tfile),
+                       "--out", str(tmp_path / "s"), *flag) == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("devices", ["0", "-2"])
+    def test_bad_devices_exit_2_before_measuring(self, tmp_path, monkeypatch,
+                                                 devices):
+        def no_measuring(*args, **kwargs):
+            raise AssertionError("measured before checking --devices")
+
+        monkeypatch.setattr(harness, "measure_sweep", no_measuring)
+        assert run_cli("sweep", "--out", str(tmp_path / "s"), "--devices",
+                       devices, "--conv", "naive-td", "--hm", "single") == 2
         assert not (tmp_path / "s").exists()
 
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from fdas import harmonic, prep
-from fdas.core import FdasConfig, Fop
+from fdas.core import FdasConfig, Fop, storage_row
 from fdas.harmonic import (CANDIDATE_DTYPE, CandidateList, HarmonicError,
                            MultipleHpN, MultipleHpR, NaiveMultipleHp, SingleHp,
-                           ThresholdTable, harmonic_sum, harmonic_sum_naive,
-                           stretch_lookup)
+                           ThresholdTable, access_counts, harmonic_sum,
+                           harmonic_sum_naive, stretch_lookup)
 from fdas.harness import RunSpec, execute
 from fdas.prep import TILE_POINTS, _tile_cols, reorder, transpose
 
@@ -66,15 +66,17 @@ def loop_multi_n_points_read(rows, cols, group_cols, n_hp):
 class TestStretchLookup:
     def test_k1_is_identity(self, rng):
         fop = Fop(random_plane(rng, 5, 16))
+        tm = fop.template_major()
         for i in range(-2, 3):
             for j in range(16):
-                assert stretch_lookup(fop, 1, i, j) == fop.power(i, j)
+                assert stretch_lookup(fop, 1, i, j) == tm[storage_row(i, 5), j]
 
     def test_trunc_toward_zero_rule(self, rng):
         fop = Fop(random_plane(rng, 9, 16))
-        assert stretch_lookup(fop, 2, -3, 7) == fop.power(-1, 3)
-        assert stretch_lookup(fop, 2, 3, 7) == fop.power(1, 3)
-        assert stretch_lookup(fop, 4, -3, 15) == fop.power(0, 3)
+        tm = fop.template_major()
+        assert stretch_lookup(fop, 2, -3, 7) == tm[storage_row(-1, 9), 3]
+        assert stretch_lookup(fop, 2, 3, 7) == tm[storage_row(1, 9), 3]
+        assert stretch_lookup(fop, 4, -3, 15) == tm[storage_row(0, 9), 3]
 
     def test_full_plane_against_loops(self, rng):
         fop = Fop(random_plane(rng, 5, 16))
@@ -102,8 +104,8 @@ class TestThresholdTable:
 
     def test_constant_per_harmonic(self):
         table = ThresholdTable.constant([1.0, 2.0], 2, 4)
-        assert table.value(1, 0) == 1.0
-        assert table.value(2, -1) == 2.0
+        assert table.row(1)[storage_row(0, 4)] == 1.0
+        assert table.row(2)[storage_row(-1, 4)] == 2.0
 
     def test_from_plane_scales_with_harmonic(self, rng):
         fop = Fop(random_plane(rng, 5, 64))
@@ -207,13 +209,12 @@ class TestCandidateList:
 
 
 def run_all_strategies(fop, table, cfg, block_cols=8):
-    rfop = reorder(fop, block_cols, cfg.n_hp)
-    outputs = {}
-    outputs["single"] = harmonic_sum(fop, SingleHp(), table, cfg)
-    outputs["naive-multi"] = harmonic_sum(fop, NaiveMultipleHp(), table, cfg)
-    outputs["multi-n"] = harmonic_sum(fop, MultipleHpN(3), table, cfg)
-    outputs["multi-r"] = harmonic_sum(rfop, MultipleHpR(block_cols, 4), table, cfg)
-    return outputs
+    """Each strategy's candidates on the plane ``prepare`` hands it."""
+    strategies = (SingleHp(), NaiveMultipleHp(), MultipleHpN(3),
+                  MultipleHpR(block_cols, 4))
+    return {s.kind: harmonic_sum(prep.prepare(fop, s, cfg.n_hp).plane, table,
+                                 cfg)
+            for s in strategies}
 
 
 class TestStrategies:
@@ -227,9 +228,9 @@ class TestStrategies:
             _, ref = harmonic_sum_naive(fop, table, cfg)
             assert len(ref) > 0  # the comparison must not be vacuous
             for e in ref.entries:  # every entry strictly above its threshold
-                assert e["power"] > table.value(int(e["harmonic"]),
-                                                int(e["template"]))
-            for name, (cands, _) in run_all_strategies(fop, table, cfg).items():
+                assert e["power"] > table.row(int(e["harmonic"]))[
+                    storage_row(int(e["template"]), rows)]
+            for name, cands in run_all_strategies(fop, table, cfg).items():
                 assert cands.same_as(ref), f"{name} diverged on trial {trial}"
 
     def test_transposed_plane_same_candidates(self, rng):
@@ -237,22 +238,25 @@ class TestStrategies:
         fop = Fop(random_plane(rng, 5, 32))
         table = ThresholdTable.from_plane(fop, cfg.n_hp, sigma_factor=1.0)
         _, ref = harmonic_sum_naive(fop, table, cfg)
-        cands, _ = harmonic_sum(transpose(fop), NaiveMultipleHp(), table, cfg)
+        cands = harmonic_sum(transpose(fop), table, cfg)
         assert cands.same_as(ref)
 
-    def test_access_statistics(self, rng):
-        cfg = cfg_for(9, 64)
-        fop = Fop(random_plane(rng, 9, 64))
-        table = ThresholdTable.from_plane(fop, cfg.n_hp)
-        _, s_single = harmonic_sum(fop, SingleHp(), table, cfg)
-        _, s_naive = harmonic_sum(fop, NaiveMultipleHp(), table, cfg)
-        _, s_n = harmonic_sum(fop, MultipleHpN(4), table, cfg)
-        n_points = cfg.n_hp * 9 * 64
-        assert s_single.plane_writes == n_points
-        assert s_single.points_read == n_points
-        assert s_naive.plane_writes == 0
-        assert s_naive.points_read == n_points
-        assert s_n.points_read <= s_naive.points_read  # block reuse never reads more
+    def test_access_statistics(self):
+        n_points = 8 * 9 * 64
+        # (points read, plane writes) of each strategy over 9 x 64 with 8
+        # harmonics. multi-n: 16 groups of 4 columns load [64, 32, 32, 16,
+        # 25, 21, 23, 16] source columns per harmonic, of [9, 5, 3, 3, 1, 1,
+        # 1, 1] distinct stretched rows. multi-r: 4 blocks of 16 columns, the
+        # largest holding 47 section columns of 9 rows, padded from 423 to
+        # 512 points.
+        expected = {SingleHp(): (n_points, n_points),
+                    NaiveMultipleHp(): (n_points, 0),
+                    MultipleHpN(4): (965, 0),
+                    MultipleHpR(16, 4): (2048, 0)}
+        for strategy, counts in expected.items():
+            assert access_counts(strategy, 9, 64, 8) == counts, strategy.kind
+        with pytest.raises(HarmonicError):
+            access_counts(object(), 9, 64, 8)
 
     def test_elapsed_spans_candidate_selection(self, monkeypatch):
         # execute's t_hm is the stage's one clock; selection falls inside it
@@ -274,8 +278,8 @@ class TestStrategies:
         fop = Fop(random_plane(rng, 9, 64))
         table = ThresholdTable.from_plane(fop, cfg.n_hp, sigma_factor=1.0)
         rfop = reorder(fop, 16, cfg.n_hp)
-        a, _ = harmonic_sum(rfop, MultipleHpR(16, 4), table, cfg)
-        b, _ = harmonic_sum(fop, MultipleHpN(16), table, cfg)
+        a = harmonic_sum(rfop, table, cfg)
+        b = harmonic_sum(fop, table, cfg)
         assert a.same_as(b)
 
     def test_monotone_thresholds(self, rng):
@@ -294,22 +298,11 @@ class TestStrategies:
     def test_wrong_plane_kind(self, rng):
         cfg = cfg_for(5, 32)
         fop = Fop(random_plane(rng, 5, 32))
-        rfop = reorder(fop, 8, cfg.n_hp)
         table = ThresholdTable.constant(1.0, cfg.n_hp, 5)
         with pytest.raises(HarmonicError):
-            harmonic_sum(fop, MultipleHpR(8, 4), table, cfg)
-        with pytest.raises(HarmonicError):
-            harmonic_sum(rfop, SingleHp(), table, cfg)
-        with pytest.raises(HarmonicError):
-            harmonic_sum(rfop, object(), table, cfg)
-
-    def test_block_width_mismatch(self, rng):
-        cfg = cfg_for(5, 32)
-        fop = Fop(random_plane(rng, 5, 32))
-        rfop = reorder(fop, 8, cfg.n_hp)
-        table = ThresholdTable.constant(1.0, cfg.n_hp, 5)
-        with pytest.raises(HarmonicError):
-            harmonic_sum(rfop, MultipleHpR(16, 4), table, cfg)
+            harmonic_sum(object(), table, cfg)
+        with pytest.raises(HarmonicError, match="harmonics"):
+            harmonic_sum(reorder(fop, 8, cfg.n_hp - 1), table, cfg)
 
 
 class TestMultiTilePlane:
@@ -330,23 +323,22 @@ class TestMultiTilePlane:
     @pytest.mark.parametrize("block_cols", [3, 16, 1])
     def test_multi_r_matches_reference(self, case, block_cols):
         fop, cfg, table, ref = case
-        rfop = reorder(fop, block_cols, cfg.n_hp)
-        cands, _ = harmonic_sum(rfop, MultipleHpR(block_cols, 4), table, cfg)
+        cands = harmonic_sum(reorder(fop, block_cols, cfg.n_hp), table, cfg)
         assert cands.same_as(ref)
 
     @pytest.mark.parametrize("block_cols", [3, 16, 1])
     def test_multi_n_matches_reference(self, case, block_cols):
         fop, cfg, table, ref = case
-        cands, _ = harmonic_sum(transpose(fop), MultipleHpN(block_cols), table,
-                                cfg)
-        assert cands.same_as(ref)
+        plane = prep.prepare(fop, MultipleHpN(block_cols), cfg.n_hp).plane
+        assert plane.channel_major
+        assert harmonic_sum(plane, table, cfg).same_as(ref)
 
     @pytest.mark.parametrize("strategy", [SingleHp(), NaiveMultipleHp()],
                              ids=lambda s: s.kind)
     def test_plane_at_a_time_matches_reference(self, case, strategy):
         fop, cfg, table, ref = case
-        cands, _ = harmonic_sum(transpose(fop), strategy, table, cfg)
-        assert cands.same_as(ref)
+        plane = prep.prepare(fop, strategy, cfg.n_hp).plane
+        assert harmonic_sum(plane, table, cfg).same_as(ref)
 
     def test_every_strategy_accumulates_over_bounded_tiles(self, case,
                                                           monkeypatch):
@@ -359,24 +351,28 @@ class TestMultiTilePlane:
         # the tile width depends on the plane alone, not on a strategy's
         # column groups or blocks
         assert _tile_cols(rows, 1) < cols  # the plane spans tiles
-        for plane, strategy in [
-                (fop, SingleHp()), (fop, NaiveMultipleHp()),
-                (fop, MultipleHpN(7)),
-                (reorder(fop, 17, cfg.n_hp), MultipleHpR(17, 4))]:
+        for plane in [fop, transpose(fop), reorder(fop, 17, cfg.n_hp)]:
             calls.clear()
-            harmonic_sum(plane, strategy, table, cfg)
-            assert calls == [(cols, _tile_cols(rows, 1))], strategy.kind
+            harmonic_sum(plane, table, cfg)
+            assert calls == [(cols, _tile_cols(rows, 1))], type(plane).__name__
 
     @pytest.mark.parametrize("rows,cols,group_cols", [
         (9, 4096, 1), (21, 8192, 16), (21, 8192, 3), (17, 4096, 5)])
     def test_multi_n_points_read_matches_group_loop(self, rows, cols,
                                                     group_cols):
-        cfg = cfg_for(rows, cols, n_hp=8)
-        fop = Fop(np.zeros((rows, cols), dtype=np.float32))
-        table = ThresholdTable.constant(1.0, 8, rows)
-        _, stats = harmonic_sum(fop, MultipleHpN(group_cols), table, cfg)
-        assert stats.points_read == loop_multi_n_points_read(rows, cols,
-                                                             group_cols, 8)
+        assert access_counts(MultipleHpN(group_cols), rows, cols, 8) == (
+            loop_multi_n_points_read(rows, cols, group_cols, 8), 0)
+
+    @pytest.mark.parametrize("rows,cols", [(9, 16384), (21, 8192)])
+    @pytest.mark.parametrize("block_cols", [1, 3, 16, 17])
+    def test_multi_r_points_read_is_the_streamed_blocks(self, rows, cols,
+                                                        block_cols):
+        # multi-r streams every block whole, its zero padding included
+        assert _tile_cols(rows, 1) < cols  # the plane spans tiles
+        rfop = reorder(Fop(np.zeros((rows, cols), dtype=np.float32)),
+                       block_cols, 8)
+        assert access_counts(MultipleHpR(block_cols, 4), rows, cols, 8) == (
+            rfop.blocks.size, 0)
 
 
 class TestTilePreCap:
@@ -400,7 +396,7 @@ class TestTilePreCap:
         assert len(ref) == cfg.n_hp * cfg.n_cand
         assert naive.same_as(ref)
         assert _tile_cols(rows, 1) < cols  # the plane spans tiles
-        for name, (cands, _) in run_all_strategies(fop, table, cfg).items():
+        for name, cands in run_all_strategies(fop, table, cfg).items():
             assert cands.same_as(ref), name
 
     def test_one_sort_of_bounded_size(self, monkeypatch):
@@ -422,15 +418,14 @@ class TestTilePreCap:
         assert sizes == [cfg.n_hp * rows * cols]  # the reference is uncapped
         n_tiles = -(-cols // _tile_cols(rows, 1))
         assert n_tiles > 1
-        for plane, strategy in [
-                (fop, SingleHp()), (transpose(fop), NaiveMultipleHp()),
-                (fop, MultipleHpN(3)),
-                (reorder(fop, 16, cfg.n_hp), MultipleHpR(16, 4))]:
+        for name, plane in [("template-major", fop),
+                            ("channel-major", transpose(fop)),
+                            ("reordered", reorder(fop, 16, cfg.n_hp))]:
             sizes.clear()
-            cands, _ = harmonic_sum(plane, strategy, table, cfg)
-            assert len(sizes) == 1, strategy.kind
-            assert sizes[0] <= n_tiles * cfg.n_hp * cfg.n_cand, strategy.kind
-            assert cands.same_as(ref), strategy.kind
+            cands = harmonic_sum(plane, table, cfg)
+            assert len(sizes) == 1, name
+            assert sizes[0] <= n_tiles * cfg.n_hp * cfg.n_cand, name
+            assert cands.same_as(ref), name
 
 
 class TestTileEdges:
@@ -462,13 +457,7 @@ class TestTileEdges:
         cfg = cfg_for(rows, cols, n_hp=n_hp, n_cand=n_cand)
         monkeypatch.setattr(prep, "TILE_POINTS", tile_width * rows)
         assert _tile_cols(rows, 1) == tile_width
-        runs = [(f"{s.kind} {orient}", plane, s)
-                for s in (SingleHp(), NaiveMultipleHp())
-                for orient, plane in (("template-major", fop),
-                                      ("channel-major", transpose(fop)))]
-        runs += [(f"multi-n {g}", transpose(fop), MultipleHpN(g)) for g in (1, 3)]
-        runs += [(f"multi-r {b}", reorder(fop, b, n_hp), MultipleHpR(b, 4))
-                 for b in (1, 3, 16)]
-        for name, plane, strategy in runs:
-            cands, _ = harmonic_sum(plane, strategy, table, cfg)
-            assert cands.same_as(ref), name
+        runs = [("template-major", fop), ("channel-major", transpose(fop))]
+        runs += [(f"reordered {b}", reorder(fop, b, n_hp)) for b in (1, 3, 16)]
+        for name, plane in runs:
+            assert harmonic_sum(plane, table, cfg).same_as(ref), name

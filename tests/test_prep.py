@@ -129,7 +129,7 @@ class TestReorder:
             assert np.array_equal(rfop.blocks[b, : expected.size], expected)
             assert not rfop.blocks[b, expected.size:].any()  # tail padding
         # duplication inflates the total size beyond the plane
-        assert rfop.total_points > fop.values.size
+        assert rfop.blocks.size > fop.values.size
 
     def test_lookup_reproduces_stretch_lookup(self, rng):
         fop = Fop(random_plane(rng, 5, 16))
@@ -141,7 +141,7 @@ class TestReorder:
 
     def test_size_monotone_in_harmonics(self, rng):
         fop = Fop(random_plane(rng, 5, 64))
-        sizes = [reorder(fop, 8, n_hp).total_points for n_hp in range(1, 6)]
+        sizes = [reorder(fop, 8, n_hp).blocks.size for n_hp in range(1, 6)]
         assert sizes == sorted(sizes)
 
     def test_block_length_is_power_of_two(self, rng):
@@ -234,4 +234,4 @@ class TestPrepare:
         pr = prepare(raw, MultipleHpR(8, 4), n_hp=2)
         assert isinstance(pr.plane, RFop)
         assert (pr.b_discard, pr.b_transpose, pr.b_reorder) == (True, True, True)
-        assert pr.fop.n_templates == 3 and pr.fop.n_channels == 1024
+        assert pr.fop.template_major().shape == (3, 1024)
