@@ -106,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen(args) -> int:
     cfg = _load_cfg(args)
+    harness.check_seed(args.seed)
     series = generate_input(cfg, args.inject, args.noise, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -125,7 +126,6 @@ def cmd_run(args) -> int:
         filters_per_launch=args.filters_per_launch, threshold=args.threshold,
         injections=tuple(args.inject), noise_sigma=args.noise,
         n_templates=args.templates)
-    spec.strategies()  # validate before doing any work
     paths = harness.run_pipeline(spec, args.out)
     for name, path in paths.items():
         print(f"{name}: {path}")

@@ -9,6 +9,8 @@ are indexed by a signed template number centred on zero.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -32,6 +34,15 @@ class FormatError(FdasError):
 
 def is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def is_finite_number(value) -> bool:
+    """A finite real number, numpy scalars included; a bool is no number here."""
+    try:  # math.isfinite overflows on an int too large for a float
+        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def next_pow2(n: int) -> int:
@@ -62,17 +73,22 @@ class FdasConfig:
     t_limit: float | None = None
 
     def __post_init__(self):
-        if self.n_temp < 1 or self.n_temp % 2 == 0:
-            raise ConfigError(f"n_temp: must be odd and >= 1, got {self.n_temp}")
+        for f in fields(self):  # every int is a count >= 1, every number > 0
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ConfigError(f"{f.name}: expected an integer, got {value!r}")
+                if value < 1:
+                    raise ConfigError(f"{f.name}: must be >= 1, got {value}")
+            elif value is not None or not f.type.endswith("| None"):
+                if not is_finite_number(value):
+                    raise ConfigError(f"{f.name}: expected a number, got {value!r}")
+                if value <= 0:
+                    raise ConfigError(f"{f.name}: must be > 0, got {value}")
+        if self.n_temp % 2 == 0:
+            raise ConfigError(f"n_temp: must be odd, got {self.n_temp}")
         if not is_pow2(self.n_chan):
             raise ConfigError(f"n_chan: must be a power of two, got {self.n_chan}")
-        for name in ("n_tap", "n_hp", "n_cand", "n_beams", "n_dm_trial"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        if self.t_obs <= 0:
-            raise ConfigError(f"t_obs: must be > 0, got {self.t_obs}")
-        if self.t_limit is not None and self.t_limit <= 0:
-            raise ConfigError(f"t_limit: must be > 0 when given, got {self.t_limit}")
 
     @classmethod
     def desk_scale(cls, **overrides) -> "FdasConfig":
@@ -81,40 +97,24 @@ class FdasConfig:
         return cls(**base)
 
 
-_INT_FIELDS = {"n_beams", "n_dm_trial", "n_temp", "n_chan", "n_tap", "n_hp", "n_cand"}
-_FLOAT_FIELDS = {"t_obs", "t_limit"}
-
-
 def load_config(path) -> FdasConfig:
     """Load a JSON config; fields missing from the file take the defaults.
 
-    An empty file is a valid config (all defaults). Unknown keys and wrongly
-    typed values raise ConfigError naming the offending field.
+    An empty file is a valid config (all defaults). An unknown key raises
+    ConfigError naming it; ``FdasConfig`` checks every value, and a wrongly
+    typed, null or non-finite one raises ConfigError naming its field.
     """
     text = Path(path).read_text()
-    if not text.strip():
-        raw = {}
-    else:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path}: not valid JSON ({exc})") from exc
+    try:
+        raw = json.loads(text) if text.strip() else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    known = {f.name for f in fields(FdasConfig)}
-    values = {}
-    for key, val in raw.items():
-        if key not in known:
-            raise ConfigError(f"{key}: unknown config field")
-        if key in _INT_FIELDS:
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ConfigError(f"{key}: expected an integer, got {val!r}")
-        elif key in _FLOAT_FIELDS:
-            if val is not None and (isinstance(val, bool)
-                                    or not isinstance(val, (int, float))):
-                raise ConfigError(f"{key}: expected a number, got {val!r}")
-        values[key] = val
-    return FdasConfig(**values)
+    unknown = raw.keys() - {f.name for f in fields(FdasConfig)}
+    if unknown:
+        raise ConfigError(f"{min(unknown)}: unknown config field")
+    return FdasConfig(**raw)
 
 
 def save_config(config: FdasConfig, path) -> None:

@@ -137,16 +137,15 @@ class ThresholdTable:
 CANDIDATE_DTYPE = np.dtype([("harmonic", "<i4"), ("template", "<i4"),
                             ("channel", "<i4"), ("power", "<f4")])
 
-CSV_HEADER = ["harmonic", "template", "channel", "power"]
+CSV_HEADER = list(CANDIDATE_DTYPE.names)
 
 
 @dataclass
 class CandidateList:
     """Detected peaks in canonical order: (harmonic, power desc, channel,
-    template), at most n_cand entries per harmonic."""
+    template); ``from_points`` keeps at most n_cand entries per harmonic."""
 
     entries: np.ndarray
-    n_cand: int
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=CANDIDATE_DTYPE)
@@ -168,7 +167,7 @@ class CandidateList:
         out["template"] = t[sel]
         out["channel"] = c[sel]
         out["power"] = p[sel]
-        return cls(out, n_cand)
+        return cls(out)
 
     def __len__(self) -> int:
         return self.entries.size
@@ -191,7 +190,7 @@ class CandidateList:
                                  int(e["channel"]), repr(float(e["power"]))])
 
     @classmethod
-    def from_csv(cls, path, n_cand: int) -> "CandidateList":
+    def from_csv(cls, path) -> "CandidateList":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -203,9 +202,7 @@ class CandidateList:
             except (ValueError, IndexError) as exc:
                 raise HarmonicError(f"{path}: malformed candidate row ({exc})") \
                     from exc
-        out = np.array(rows, dtype=CANDIDATE_DTYPE) if rows else \
-            np.empty(0, dtype=CANDIDATE_DTYPE)
-        return cls(out, n_cand)
+        return cls(rows)
 
 
 def _above(k: int, hp: np.ndarray, ta_row: np.ndarray, signed: np.ndarray,

@@ -28,6 +28,11 @@ class SpecError(FdasError):
     """Run specification outside the supported combination matrix."""
 
 
+def check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's generators take only seeds >= 0
+        raise SpecError(f"seed must be >= 0, got {seed}")
+
+
 VERIFY_TEMPLATES = {2 ** 10: 5, 2 ** 11: 7, 2 ** 12: 9, 2 ** 13: 13, 2 ** 14: 17}
 
 
@@ -88,6 +93,8 @@ class RunSpec:
                                 f"got {self.threshold}")
         if self.scheme not in pl.SCHEMES:
             raise SpecError(f"scheme must be one of {pl.SCHEMES}")
+        check_seed(self.seed)
+        self.strategies()  # a built spec names a valid combination
 
     def strategies(self):
         conv_s = _make_strategy(conv.CONV_KINDS, "convolution", self.conv_kind,
@@ -196,6 +203,7 @@ def verification_checks(scale: int = 2 ** 10, seed: int = 0,
     if scale not in VERIFY_TEMPLATES:
         raise SpecError(
             f"verify scale must be one of {sorted(VERIFY_TEMPLATES)}, got {scale}")
+    check_seed(seed)
     cfg = FdasConfig.desk_scale(n_chan=scale, n_temp=VERIFY_TEMPLATES[scale])
     rng = np.random.default_rng(seed)
     series = (rng.standard_normal(cfg.n_chan) +

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .core import FdasError
+from .core import FdasError, is_finite_number
 
-STAGES = ("ft", "fop", "hm")
 SCHEMES = ("single-input", "multi-input", "multi-config")
 
 
@@ -38,8 +36,8 @@ class StageTiming:
     modelled.
 
     The fields are the ``timing.json`` record, in file order; ``to_dict``
-    appends the derived totals t_ft, t_fop and t_fdas. Every ``t_*`` field is
-    a time and must be >= 0.
+    appends the derived totals t_ft, t_fop and t_fdas. Each ``t_*``, launch
+    time and demand must be a finite number >= 0, and each ``b_*`` a bool.
 
     Every ``t_*`` is a wall span, and ``per_launch`` splits the launch phase
     at launch completions, so its sum is that phase's wall span at any
@@ -62,18 +60,24 @@ class StageTiming:
     plane_writes: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.demands, dict):
+            raise ModelError(f"demands must map stages to numbers, got {self.demands!r}")
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        values += [(f"per_launch[{i}]", t) for i, t in enumerate(self.per_launch)]
+        values += [(f"demands[{k!r}]", d) for k, d in self.demands.items()]
+        for name, value in values:
+            if name.startswith("b_") and not isinstance(value, bool):
+                raise ModelError(f"{name} must be true or false, got {value!r}")
+            if name.startswith(("t_", "per_launch[", "demands[")) and not (
+                    is_finite_number(value) and value >= 0):
+                raise ModelError(f"{name} must be a finite number >= 0, got {value!r}")
         self.per_launch = [float(t) for t in self.per_launch]
-        if any(t < 0 for t in self.per_launch):
-            raise ModelError("per-launch times must be >= 0")
-        for f in fields(self):
-            if f.name.startswith("t_") and getattr(self, f.name) < 0:
-                raise ModelError(f"{f.name} must be >= 0")
 
     @classmethod
     def from_totals(cls, t_ft: float, t_fop: float, t_hm: float,
                     demands: dict | None = None) -> "StageTiming":
         """Build a timing record from stage totals only."""
-        return cls(per_launch=[t_ft], t_discard=t_fop, b_discard=t_fop > 0,
+        return cls(per_launch=[t_ft], t_discard=t_fop, b_discard=bool(t_fop > 0),
                    t_hm=t_hm, demands=dict(demands or {}))
 
     @property
@@ -108,8 +112,10 @@ class StageTiming:
         are not fields (the derived totals, retired keys) are ignored."""
         if "per_launch" in raw:
             return cls(**{f.name: raw[f.name] for f in fields(cls) if f.name in raw})
-        return cls.from_totals(raw.get("t_ft", 0.0), raw.get("t_fop", 0.0),
-                               raw.get("t_hm", 0.0), raw.get("demands"))
+        st = cls.from_totals(raw.get("t_ft", 0.0), raw.get("t_fop", 0.0),
+                             raw.get("t_hm", 0.0))
+        # a "demands": null stays an error; from_totals reads None as no demands
+        return replace(st, demands=raw["demands"]) if "demands" in raw else st
 
 
 @dataclass(frozen=True)
@@ -395,21 +401,10 @@ def write_report_csv(report: list, path) -> None:
                             [row["period_multidevice"][s] for s in SCHEMES])
 
 
-def _check_row_types(entry: dict) -> None:
-    """Reject the field types that the model would only trip over later."""
-    if not isinstance(entry["combination"], str):
-        raise ValueError("'combination' must be a string")
-    demands = entry.get("demands", {})
-    if not isinstance(demands, dict) or not all(  # a bool is no number here
-            type(v) in (int, float) and 0 <= v < math.inf for v in demands.values()):
-        raise ValueError("'demands' must map stage names to finite numbers >= 0")
-    for name in ("b_discard", "b_transpose", "b_reorder"):
-        if not isinstance(entry.get(name, False), bool):
-            raise ValueError(f"'{name}' must be true or false")
-
-
 def load_timing_rows(path) -> list:
-    """Load sweep input: a JSON array of {combination, ...timing...} rows."""
+    """Load sweep input: a JSON array of objects, each a string
+    ``combination`` and a ``StageTiming.from_dict`` record, which checks its
+    values. A malformed row raises ModelError naming it."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -420,11 +415,10 @@ def load_timing_rows(path) -> list:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ModelError(f"timing file {path}: row {i} is not an object")
-        if "combination" not in entry:
-            raise ModelError(f"timing file {path}: row {i} missing 'combination'")
+        if not isinstance(entry.get("combination"), str):
+            raise ModelError(f"timing file {path}: row {i} needs a string 'combination'")
         try:
-            _check_row_types(entry)
             rows.append((entry["combination"], StageTiming.from_dict(entry)))
-        except (TypeError, ValueError) as exc:
+        except (ModelError, TypeError) as exc:
             raise ModelError(f"timing file {path}: row {i}: {exc}") from exc
     return rows

@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import json
+import math
 import time
 import types
 import weakref
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from fdas import convolution, harmonic, harness, prep
+from fdas import pipeline as pl
 from fdas.cli import build_parser, main
 from fdas.convolution import CONV_KINDS
 from fdas.core import FdasConfig, load_fop, save_config
@@ -56,7 +58,7 @@ class TestRun:
         assert rc == 0
         fop = load_fop(out / "fop.fop")
         assert fop.rows == 5 and fop.cols == 1024
-        cands = CandidateList.from_csv(out / "candidates.csv", 16)
+        cands = CandidateList.from_csv(out / "candidates.csv")
         assert 200 in cands.channels_for(1)
         timing = StageTiming.from_dict(json.loads((out / "timing.json").read_text()))
         assert timing.t_fdas > 0
@@ -117,6 +119,17 @@ class TestRun:
         rc = run_cli("run", "--config", desk_config, "--out", str(tmp_path / "x"),
                      *flags)
         assert rc == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text", ['{"t_obs": null}', '{"n_chan": 1024.0}'],
+                             ids=["null-number", "float-integer"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert run_cli("run", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "x")) == 2
+        key = next(iter(json.loads(text)))
+        assert capsys.readouterr().err.startswith(f"error: {key}: expected")
         assert not (tmp_path / "x").exists()
 
     def test_runtime_error_exits_1(self, tmp_path, desk_config):
@@ -281,10 +294,27 @@ class TestSweep:
         [{"combination": "x", "per_launch": [1], "demands": [1]}],
         [{"combination": "x", "per_launch": [1], "demands": {"hm": "x"}}],
         [{"combination": "x", "per_launch": [1], "b_discard": "no"}],
-        [{"combination": ["x"], "t_ft": 1}]],
+        [{"combination": ["x"], "t_ft": 1}],
+        # json writes inf as Infinity and reads 1e400 as the same inf
+        [{"combination": "x", "t_ft": math.nan}],
+        [{"combination": "x", "t_ft": math.inf}],
+        [{"combination": "x", "per_launch": [1, math.nan]}],
+        [{"combination": "x", "per_launch": [math.inf]}],
+        [{"combination": "x", "per_launch": [1], "demands": {"hm": math.nan}}],
+        [{"combination": "x", "t_ft": 1, "demands": {"ft": math.inf}}],
+        [{"combination": "x", "t_ft": 1, "t_hm": True}],
+        [{"combination": "x", "t_ft": 1, "demands": None}]],
         ids=["not-an-object", "text-time", "null-time", "list-demands",
-             "text-demand", "text-flag", "list-combination"])
-    def test_malformed_timing_row_exits_2(self, tmp_path, capsys, rows):
+             "text-demand", "text-flag", "list-combination", "nan-time",
+             "inf-time", "nan-launch", "inf-launch", "nan-demand", "inf-demand",
+             "bool-time", "null-demands"])
+    def test_malformed_timing_row_exits_2(self, tmp_path, capsys, monkeypatch,
+                                          rows):
+        # a row that reached the overlap model would be a row let through
+        def no_model(*args):
+            raise AssertionError("a malformed row reached the model")
+
+        monkeypatch.setattr(pl, "simulate_overlap", no_model)
         tfile = tmp_path / "bad.json"
         tfile.write_text(json.dumps(rows))
         assert run_cli("sweep", "--timings", str(tfile),
@@ -358,6 +388,26 @@ class TestRunSpecValidation:
     def test_rejects_bad_scheme(self):
         with pytest.raises(SpecError):
             RunSpec(config=FdasConfig.desk_scale(), scheme="ring")
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(conv_kind="bogus"), "unknown convolution strategy"),
+        (dict(seed=-1), "seed must be >= 0")], ids=["bogus-conv", "negative-seed"])
+    def test_built_spec_is_valid(self, fields, message):
+        with pytest.raises(SpecError, match=message):
+            RunSpec(config=FdasConfig.desk_scale(), **fields)
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--noise", "1"], ["run"], ["verify"],
+        ["sweep", "--conv", "naive-td", "--hm", "single"]],
+        ids=lambda c: c[0])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, desk_config, command):
+        # numpy's generators would raise a ValueError deep in the run
+        out = tmp_path / "out"
+        where = [] if command[0] == "verify" else ["--config", desk_config,
+                                                  "--out", str(out)]
+        assert run_cli(*command, *where, "--seed", "-1") == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_rejects_bad_devices(self):
         with pytest.raises(SpecError):

@@ -68,6 +68,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key}: expected a number"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", ['{"t_obs": null}', '{"t_obs": NaN}',
+                                      '{"t_limit": Infinity}', '{"t_obs": 1e400}'],
+                             ids=["t_obs-null", "t_obs-nan", "t_limit-inf",
+                                  "t_obs-1e400"])
+    def test_null_or_non_finite_number_named(self, tmp_path, text):
+        # Python's json reads NaN, Infinity and 1e400 as floats
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        key = next(iter(json.loads(text)))
+        with pytest.raises(ConfigError, match=f"{key}: expected a number"):
+            load_config(path)
+
+    def test_in_memory_values_checked_by_type(self):
+        with pytest.raises(ConfigError, match="n_chan: expected an integer"):
+            FdasConfig(n_chan=1024.0)
+        with pytest.raises(ConfigError, match="n_hp: expected an integer"):
+            FdasConfig(n_hp=True)
+        # numpy scalars are numbers like any other
+        cfg = FdasConfig(n_chan=np.int64(1024), t_obs=np.float32(1.5))
+        assert cfg.n_chan == 1024 and cfg.t_obs == 1.5
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

@@ -61,6 +61,15 @@ class TestStageTiming:
                          b_reorder=True)
         assert st.t_fop == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("fields", [
+        dict(per_launch=[True]), dict(t_hm=False), dict(demands={"hm": True}),
+        dict(b_reorder=1), dict(demands=None), dict(t_klo=float("nan"))],
+        ids=["bool-launch", "bool-time", "bool-demand", "int-flag",
+             "null-demands", "nan-time"])
+    def test_wrong_type_rejected(self, fields):
+        with pytest.raises(ModelError):
+            StageTiming(**fields)
+
     def test_negative_rejected(self):
         with pytest.raises(ModelError):
             StageTiming(per_launch=[-1.0])
@@ -428,6 +437,19 @@ class TestSweep:
         assert total_latency(rows[0][1]) == 1029
         path.write_text("{}")
         with pytest.raises(ModelError):
+            load_timing_rows(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+    @pytest.mark.parametrize("row", [
+        '{{"combination": "x", "t_ft": {}}}',
+        '{{"combination": "x", "per_launch": [{}]}}',
+        '{{"combination": "x", "per_launch": [1], "demands": {{"hm": {}}}}}'],
+        ids=["time", "launch", "demand"])
+    def test_non_finite_row_rejected(self, tmp_path, row, value):
+        # Python's json reads all three as floats; the model would never end
+        path = tmp_path / "timings.json"
+        path.write_text("[" + row.format(value) + "]")
+        with pytest.raises(ModelError, match="row 0: .*finite number >= 0"):
             load_timing_rows(path)
 
 
