@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen(args) -> int:
     cfg = _load_cfg(args)
-    harness.check_seed(args.seed)
+    harness.RunSpec(cfg, seed=args.seed, noise_sigma=args.noise)  # run's checks
     series = generate_input(cfg, args.inject, args.noise, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

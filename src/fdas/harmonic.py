@@ -14,8 +14,8 @@ row), and their width depends on the plane alone. Each harmonic k is read at
 source resolution, one row per source column, and each source column is
 added in place to the k output columns it feeds through a broadcast view, so
 no k-stretched tile is gathered. Each tile passes on only its n_cand strongest
-points per harmonic (ties included), so the one final sort sees at most
-n_tiles x n_hp x n_cand points plus ties.
+points per harmonic (ties included), none below the floor earlier tiles set,
+so the one final sort sees at most n_tiles x n_hp x n_cand points plus ties.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import numpy as np
 
 from .core import (FdasConfig, FdasError, Fop, next_pow2, signed_range,
                    storage_row)
-from .prep import RFop, _section_geometry, _tile_cols, stretch_rows
+from .prep import (TILE_POINTS, RFop, _section_geometry, _tile_cols,
+                   stretch_rows)
 
 
 class HarmonicError(FdasError):
@@ -117,10 +118,16 @@ class ThresholdTable:
     @classmethod
     def from_plane(cls, fop: Fop, n_hp: int, sigma_factor: float = 6.0
                    ) -> "ThresholdTable":
-        """Per-harmonic thresholds k*mean + sigma_factor*sqrt(k)*std of the plane."""
-        tm = fop.template_major()
-        mean = float(np.mean(tm, dtype=np.float64))
-        std = float(np.std(tm, dtype=np.float64))
+        """Per-harmonic thresholds k*mean + sigma_factor*sqrt(k)*std of the
+        plane, summed in float64 over tiles of ``TILE_POINTS`` in memory order."""
+        flat = fop.values.ravel("K")
+        tiles = [flat[i:i + TILE_POINTS] for i in range(0, flat.size, TILE_POINTS)]
+        mean = sum(t.sum(dtype=np.float64) for t in tiles) / flat.size
+        var, buf = 0.0, np.empty(min(flat.size, TILE_POINTS))  # one float64 tile
+        for t in tiles:
+            d = np.subtract(t, mean, out=buf[:t.size], dtype=np.float64)
+            var += np.square(d, out=d).sum()
+        std = np.sqrt(var / flat.size)
         ks = np.arange(1, n_hp + 1, dtype=np.float64)
         levels = np.maximum(ks * mean + sigma_factor * np.sqrt(ks) * std,
                             np.finfo(np.float32).tiny)
@@ -206,13 +213,15 @@ class CandidateList:
 
 
 def _above(k: int, hp: np.ndarray, ta_row: np.ndarray, signed: np.ndarray,
-           col_offset: int, n_cand: int | None = None):
+           col_offset: int, n_cand: int | None = None, floor: float = -np.inf):
     """(harmonic, template, channel, power) of the points of channel-major
     tile ``hp`` (column x template row) of harmonic k strictly above
     threshold. With ``n_cand``, only those at least as strong as the
     n_cand-th strongest (ties kept): any weaker point has n_cand strictly
-    stronger ones in harmonic k, so the cap never keeps it."""
-    idx = np.flatnonzero(hp > ta_row)  # 2-D nonzero is ~5x slower
+    stronger ones in harmonic k, so the cap never keeps it; nor any point
+    below ``floor``, compared alone once it tops the row's thresholds."""
+    above = hp >= floor if floor > ta_row.max() else hp > ta_row
+    idx = np.flatnonzero(above)  # 2-D nonzero is ~5x slower
     p = hp.ravel()[idx]
     if n_cand is not None and p.size > n_cand:
         keep = p >= np.partition(p, p.size - n_cand)[p.size - n_cand]
@@ -313,13 +322,18 @@ def _accumulate(read, cols: int, tile_cols: int, n_hp: int,
     template rows already stretched. ``_add_stretched`` adds it in place, so
     no k-stretched tile is gathered or allocated.
     """
-    parts = []
+    parts, best = [], [np.empty(0, dtype=np.float32)] * n_hp
     for c0 in range(0, cols, tile_cols):
         c1 = min(cols, c0 + tile_cols)
         hp = np.zeros((c1 - c0, signed.size), dtype=np.float32)
         for k in range(1, n_hp + 1):
             _add_stretched(hp, read(k, c0, c1), k, c0)
-            parts.append(_above(k, hp, thresholds.row(k), signed, c0, n_cand))
+            b = best[k - 1]  # harmonic k's n_cand strongest powers passed on
+            parts.append(_above(k, hp, thresholds.row(k), signed, c0, n_cand,
+                                b[0] if b.size == n_cand else -np.inf))
+            if parts[-1][3].size:  # keep the least of them, the floor, first
+                b = np.concatenate((b, parts[-1][3]))
+                best[k - 1] = np.partition(b, max(0, b.size - n_cand))[-n_cand:]
     return _select(parts, n_cand)
 
 
@@ -354,7 +368,7 @@ def harmonic_sum(plane, thresholds: ThresholdTable,
     is read through its blocks, a ``Fop`` of either orientation directly.
     Either way the accumulation runs over the same bounded tiles, sized by
     the plane alone, and each tile keeps its n_cand strongest points per
-    harmonic for the one final sort.
+    harmonic, none below the running floor, for the one final sort.
     """
     n_hp = config.n_hp
     if isinstance(plane, RFop):

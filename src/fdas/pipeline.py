@@ -36,8 +36,8 @@ class StageTiming:
     modelled.
 
     The fields are the ``timing.json`` record, in file order; ``to_dict``
-    appends the derived totals t_ft, t_fop and t_fdas. Each ``t_*``, launch
-    time and demand must be a finite number >= 0, and each ``b_*`` a bool.
+    appends the derived totals t_ft, t_fop and t_fdas. Each ``t_*``, total,
+    launch time and demand must be finite and >= 0, each ``b_*`` a bool.
 
     Every ``t_*`` is a wall span, and ``per_launch`` splits the launch phase
     at launch completions, so its sum is that phase's wall span at any
@@ -72,11 +72,17 @@ class StageTiming:
                     is_finite_number(value) and value >= 0):
                 raise ModelError(f"{name} must be a finite number >= 0, got {value!r}")
         self.per_launch = [float(t) for t in self.per_launch]
+        for name in ("t_ft", "t_fop", "t_fdas"):  # finite parts may sum past a float
+            if not is_finite_number(getattr(self, name)):
+                raise ModelError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @classmethod
     def from_totals(cls, t_ft: float, t_fop: float, t_hm: float,
                     demands: dict | None = None) -> "StageTiming":
         """Build a timing record from stage totals only."""
+        for name, t in (("t_ft", t_ft), ("t_fop", t_fop)):  # the file's keys
+            if not (is_finite_number(t) and t >= 0):
+                raise ModelError(f"{name} must be a finite number >= 0, got {t!r}")
         return cls(per_launch=[t_ft], t_discard=t_fop, b_discard=bool(t_fop > 0),
                    t_hm=t_hm, demands=dict(demands or {}))
 

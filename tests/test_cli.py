@@ -288,28 +288,42 @@ class TestSweep:
                        "--out", str(tmp_path / "s")) == 2
         assert not (tmp_path / "s").exists()
 
-    @pytest.mark.parametrize("rows", [
-        [1], [{"combination": "x", "t_ft": "a"}],
-        [{"combination": "x", "per_launch": [1], "t_klo": None}],
-        [{"combination": "x", "per_launch": [1], "demands": [1]}],
-        [{"combination": "x", "per_launch": [1], "demands": {"hm": "x"}}],
-        [{"combination": "x", "per_launch": [1], "b_discard": "no"}],
-        [{"combination": ["x"], "t_ft": 1}],
+    @pytest.mark.parametrize("rows,named", [
+        ([1], ""), ([{"combination": "x", "t_ft": "a"}], "t_ft"),
+        ([{"combination": "x", "per_launch": [1], "t_klo": None}], "t_klo"),
+        ([{"combination": "x", "per_launch": [1], "demands": [1]}], "demands"),
+        ([{"combination": "x", "per_launch": [1], "demands": {"hm": "x"}}],
+         "demands['hm']"),
+        ([{"combination": "x", "per_launch": [1], "b_discard": "no"}],
+         "b_discard"),
+        ([{"combination": ["x"], "t_ft": 1}], "combination"),
         # json writes inf as Infinity and reads 1e400 as the same inf
-        [{"combination": "x", "t_ft": math.nan}],
-        [{"combination": "x", "t_ft": math.inf}],
-        [{"combination": "x", "per_launch": [1, math.nan]}],
-        [{"combination": "x", "per_launch": [math.inf]}],
-        [{"combination": "x", "per_launch": [1], "demands": {"hm": math.nan}}],
-        [{"combination": "x", "t_ft": 1, "demands": {"ft": math.inf}}],
-        [{"combination": "x", "t_ft": 1, "t_hm": True}],
-        [{"combination": "x", "t_ft": 1, "demands": None}]],
+        ([{"combination": "x", "t_ft": math.nan}],
+         "t_ft must be a finite number >= 0, got nan"),
+        ([{"combination": "x", "t_ft": math.inf}], "t_ft must be"),
+        ([{"combination": "x", "per_launch": [1, math.nan]}],
+         "per_launch[1] must be a finite number >= 0, got nan"),
+        ([{"combination": "x", "per_launch": [math.inf]}], "per_launch[0]"),
+        ([{"combination": "x", "per_launch": [1], "demands": {"hm": math.nan}}],
+         "demands['hm'] must be a finite number >= 0, got nan"),
+        ([{"combination": "x", "t_ft": 1, "demands": {"ft": math.inf}}],
+         "demands['ft']"),
+        ([{"combination": "x", "t_ft": 1, "t_hm": True}], "t_hm"),
+        ([{"combination": "x", "t_ft": 1, "demands": None}], "demands"),
+        ([{"combination": "x", "t_ft": 1, "t_fop": math.nan}],
+         "t_fop must be a finite number >= 0, got nan"),
+        # finite parts whose sums overflow a float
+        ([{"combination": "x", "per_launch": [1e308, 1e308, 1e308]}],
+         "t_ft must be finite, got inf"),
+        ([{"combination": "x", "t_ft": 1e308, "t_hm": 1e308}],
+         "t_fdas must be finite, got inf")],
         ids=["not-an-object", "text-time", "null-time", "list-demands",
              "text-demand", "text-flag", "list-combination", "nan-time",
              "inf-time", "nan-launch", "inf-launch", "nan-demand", "inf-demand",
-             "bool-time", "null-demands"])
+             "bool-time", "null-demands", "nan-fop", "overflow-launches",
+             "overflow-total"])
     def test_malformed_timing_row_exits_2(self, tmp_path, capsys, monkeypatch,
-                                          rows):
+                                          rows, named):
         # a row that reached the overlap model would be a row let through
         def no_model(*args):
             raise AssertionError("a malformed row reached the model")
@@ -319,7 +333,8 @@ class TestSweep:
         tfile.write_text(json.dumps(rows))
         assert run_cli("sweep", "--timings", str(tfile),
                        "--out", str(tmp_path / "s")) == 2
-        assert "row 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "row 0" in err and named in err
         assert not (tmp_path / "s").exists()
 
     def test_empty_combination_list_exits_2(self, tmp_path):
@@ -407,6 +422,14 @@ class TestRunSpecValidation:
                                                   "--out", str(out)]
         assert run_cli(*command, *where, "--seed", "-1") == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "run"])
+    def test_negative_noise_exits_2(self, tmp_path, capsys, desk_config, command):
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", desk_config, "--out", str(out),
+                       "--noise", "-1") == 2
+        assert capsys.readouterr().err == "error: noise_sigma must be >= 0\n"
         assert not out.exists()
 
     def test_rejects_bad_devices(self):

@@ -441,6 +441,81 @@ class TestTilePreCap:
             assert cands.same_as(ref), name
 
 
+class TestRunningFloor:
+    """No tile passes on a point below the n_cand-th strongest power earlier
+    tiles passed on in its harmonic, once that floor tops its thresholds."""
+
+    def test_falling_plane_sorts_one_tile_of_points(self, monkeypatch):
+        # integer powers falling with the column, exact in float32: a column
+        # step (128) outweighs any harmonic's summed template rows (< 128), so
+        # no two points tie, every harmonic's strongest points lie in the
+        # first tile, and every later point is below the floor
+        rows, cols = 9, 16384
+        cc, rr = np.meshgrid(np.arange(cols), np.arange(rows))
+        fop = Fop(((cols - 1 - cc) * 128 + rr + 1).astype(np.float32))
+        cfg = cfg_for(rows, cols, n_hp=8, n_cand=5)
+        table = ThresholdTable.constant(0.5, cfg.n_hp, rows)  # every point passes
+        _, ref = harmonic_sum_naive(fop, table, cfg)
+        assert -(-cols // _tile_cols(rows, 1)) == 3
+        from_points = CandidateList.from_points
+        sizes = []
+
+        def spy(cls, harmonics, *rest):
+            sizes.append(len(harmonics))
+            return from_points(harmonics, *rest)
+
+        monkeypatch.setattr(CandidateList, "from_points", classmethod(spy))
+        for name, plane in [("template-major", fop),
+                            ("channel-major", transpose(fop)),
+                            ("reordered", reorder(fop, 16, cfg.n_hp))]:
+            sizes.clear()
+            assert harmonic_sum(plane, table, cfg).same_as(ref), name
+            assert sizes == [cfg.n_hp * cfg.n_cand], name
+
+    def test_floor_keeps_ties(self):
+        # a point tied with the floor can still make the cap on its channel,
+        # so _above keeps it, as the per-tile cut keeps ties
+        hp = np.array([[1, 4, 2], [4, 3, 5]], dtype=np.float32)  # column x row
+        signed = np.array([-1, 0, 1])
+
+        def kept(ta_row):
+            _, t, c, p = harmonic._above(2, hp, np.array(ta_row, np.float32),
+                                         signed, 10, 5, np.float32(4))
+            return sorted(zip(c.tolist(), t.tolist(), p.tolist()))
+
+        assert kept([0.5] * 3) == [(10, 0, 4.0), (11, -1, 4.0), (11, 1, 5.0)]
+        # a floor not above every threshold of the row leaves the row compare
+        assert kept([0.5, 4.5, 0.5]) == [(10, -1, 1.0), (10, 1, 2.0),
+                                         (11, -1, 4.0), (11, 1, 5.0)]
+
+    def test_per_template_thresholds_match_reference(self, monkeypatch):
+        rows, cols, n_hp = 9, 16384, 8
+        rng = np.random.default_rng(5150)
+        fop = Fop(random_plane(rng, rows, cols))
+        # thresholds about each harmonic's median, varying by template; in odd
+        # harmonics one template's threshold is above every power, so the
+        # floor never tops that row and the row compare is kept throughout
+        medians = [np.median(p) for p in stretched_sums(fop.values, n_hp)]
+        ta = np.array(medians)[:, None] * rng.uniform(0.7, 1.3, (n_hp, rows))
+        ta[0::2, 0] = 1e6
+        table = ThresholdTable(ta.astype(np.float32))
+        cfg = cfg_for(rows, cols, n_hp=n_hp, n_cand=5)
+        _, ref = harmonic_sum_naive(fop, table, cfg)
+        assert len(ref) == n_hp * cfg.n_cand
+        assert _tile_cols(rows, 1) < cols  # the plane spans tiles
+        above, floor_used = harmonic._above, set()
+
+        def spy(k, hp, ta_row, signed, col_offset, n_cand=None, floor=-np.inf):
+            floor_used.add((k % 2, bool(floor > ta_row.max())))
+            return above(k, hp, ta_row, signed, col_offset, n_cand, floor)
+
+        monkeypatch.setattr(harmonic, "_above", spy)
+        for name, cands in run_all_strategies(fop, table, cfg).items():
+            assert cands.same_as(ref), name
+        # odd harmonics only ever compare rows; even ones reach the floor
+        assert floor_used == {(1, False), (0, False), (0, True)}
+
+
 class TestTileEdges:
     """Tiles narrower than n_hp start off multiples of k, so every harmonic's
     in-place add runs its head, body and tail parts."""
