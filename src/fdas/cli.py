@@ -11,6 +11,7 @@ specification or unparsable input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -28,9 +29,13 @@ def _parse_injection(text: str):
         raise argparse.ArgumentTypeError(
             f"injection must be channel:harmonics:amplitude, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1]), float(parts[2])
+        channel, harmonics, amplitude = int(parts[0]), int(parts[1]), float(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not math.isfinite(amplitude):
+        raise argparse.ArgumentTypeError(
+            f"injection amplitude must be finite, got {parts[2]!r}")
+    return channel, harmonics, amplitude
 
 
 def _load_cfg(args) -> FdasConfig:

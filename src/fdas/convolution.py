@@ -16,11 +16,16 @@ and each template is one forward transform, a broadcast multiply and one
 batched inverse over all chunks.
 ``naive-fd`` is its one-chunk case, with no overlap and a chunk that holds
 the whole linear convolution. The inverse runs per template, never over the
-whole bank at once, so the working set stays one template's chunks.
+whole bank at once, so the working set stays one template's chunks: each
+worker thread multiplies into one reused product buffer, and overlap-save
+chunks turn complex64 as they are stored. Their power plane is built later
+by the plane-preparation discard, so no plane-sized temporary lies between
+the chunks and the plane.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -178,14 +183,16 @@ def _chunk_spectra(x: np.ndarray, chunk: int, overlap: int) -> np.ndarray:
     return dft(chunks)
 
 
-def _fd_template(spectra: np.ndarray, h: np.ndarray, size: int) -> np.ndarray:
+def _fd_template(spectra: np.ndarray, h: np.ndarray, size: int,
+                 work: np.ndarray) -> np.ndarray:
     """Circular convolution of one template with every row of ``spectra``
     (input spectra of ``size`` points): one forward transform of the
-    template, a broadcast multiply and one batched inverse."""
+    template, a broadcast multiply into ``work`` (complex128, shaped like
+    ``spectra``) and one batched inverse, returned in complex128."""
     hh = np.zeros(size, dtype=np.complex128)
     hh[: h.size] = h
-    spectrum_h = dft(hh)
-    return dft(spectra * spectrum_h, inverse=True).astype(np.complex64)
+    np.multiply(spectra, dft(hh), out=work)
+    return dft(work, inverse=True)
 
 
 def assemble_ols(raw: ConvRawOutput, template: int = 0) -> np.ndarray:
@@ -249,7 +256,7 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
                         part = np.convolve(x, sub)
                         delay = p * width
                         if delay < n:
-                            partial[t][delay:] += part[: n - delay].astype(np.complex64)
+                            partial[t][delay:] += part[: n - delay]
                 stamps.append(time.perf_counter())
             for t in group:
                 rows[t] = power_spectrum(partial[t])
@@ -269,14 +276,18 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
         if ols:
             chunk_rows = np.empty((bank.n_templates,) + spectra.shape,
                                   dtype=np.complex64)
+        local = threading.local()  # one product buffer per worker thread
 
         def run_group(group):
+            if not hasattr(local, "work"):
+                local.work = np.empty_like(spectra)
             for t in group:
-                y = _fd_template(spectra, bank.templates[t], size)
+                y = _fd_template(spectra, bank.templates[t], size, local.work)
                 if ols:
-                    chunk_rows[t] = y
+                    chunk_rows[t] = y  # complex64 on assignment
                 else:
-                    rows[t] = power_spectrum(y[0, :n])
+                    # in complex64 first, so the power is float32
+                    rows[t] = power_spectrum(y[0, :n].astype(np.complex64))
             return [time.perf_counter()]
 
     else:

@@ -1,9 +1,11 @@
 """Plane-preparation transforms between convolution output and harmonic input.
 
 Three transforms adapt any convolution output to any harmonic-summing input:
-discard strips the invalid chunk prefixes of overlap-save output, transpose
-flips the plane orientation, and reorder builds the duplicated/padded
-streaming layout consumed by the block-streaming harmonic strategy. Which
+discard strips the invalid chunk prefixes of overlap-save output and squares
+the valid points, template by template, into the float32 power plane with no
+plane-sized temporary; transpose flips the plane orientation, and reorder
+builds the duplicated/padded streaming layout consumed by the block-streaming
+harmonic strategy. Which
 subset fires is read off the convolution result (chunked or not) and the
 harmonic strategy's kind; when none is needed the preparation is the
 identity with zero cost. Reorder and every traversal of ``fdas.harmonic``
@@ -21,7 +23,7 @@ import numpy as np
 
 from .core import (FdasError, Fop, next_pow2, signed_range, storage_row,
                    template_offset)
-from .convolution import ConvRawOutput, power_spectrum
+from .convolution import ConvRawOutput
 
 TILE_POINTS = 1 << 16  # plane points per tile of whole blocks
 
@@ -42,15 +44,35 @@ def stretch_rows(n_rows: int, k: int) -> np.ndarray:
 
 
 def discard(raw: ConvRawOutput) -> np.ndarray:
-    """Remove each chunk's invalid prefix; complex plane of valid columns.
+    """Float32 power plane of the valid columns, (n_templates, n_cols).
 
-    Per template the first ``overlap`` points of every chunk are dropped, the
-    remainders concatenated and truncated to the plane width.
+    Per template the first ``overlap`` points of every chunk are dropped and
+    the remainders' powers, ``power_spectrum``'s float32 re*re + im*im, are
+    written straight into one preallocated plane: whole chunks through a
+    (chunks x advance) view of the template's row, then the partial last
+    chunk. No plane-sized complex or squared temporary is made.
     """
     if not isinstance(raw, ConvRawOutput):
         raise PrepError("discard expects chunked convolution output")
-    valid = raw.chunks[:, :, raw.overlap:]
-    return valid.reshape(raw.n_templates, -1)[:, : raw.n_cols]
+    advance, n_cols = raw.advance, raw.n_cols
+    full, tail = divmod(n_cols, advance)
+    cut = full * advance
+    plane = np.empty((raw.n_templates, n_cols), dtype=np.float32)
+    im = np.empty(max(cut, tail), dtype=np.float32)
+    for row, chunks in zip(plane, raw.chunks):
+        valid = chunks[:, raw.overlap:]
+        _power_into(valid[:full], row[:cut].reshape(full, advance),
+                    im[:cut].reshape(full, advance))
+        if tail:
+            _power_into(valid[full, :tail], row[cut:], im[:tail])
+    return plane
+
+
+def _power_into(v: np.ndarray, out: np.ndarray, im: np.ndarray) -> None:
+    """out = v.real * v.real + v.imag * v.imag in out's float32, im a scratch."""
+    np.multiply(v.real, v.real, out=out)
+    np.multiply(v.imag, v.imag, out=im)
+    np.add(out, im, out=out)
 
 
 def fop_from(result) -> Fop:
@@ -60,7 +82,7 @@ def fop_from(result) -> Fop:
             return transpose(result)
         return result
     if isinstance(result, ConvRawOutput):
-        return Fop(power_spectrum(discard(result)))
+        return Fop(discard(result))
     raise PrepError(f"cannot build a plane from {type(result).__name__}")
 
 

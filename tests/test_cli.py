@@ -432,6 +432,23 @@ class TestRunSpecValidation:
         assert capsys.readouterr().err == "error: noise_sigma must be >= 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [
+        ["--noise", "nan"], ["--noise", "inf"],
+        ["--inject", "800:8:nan"], ["--inject", "800:8:inf"]],
+        ids=["noise-nan", "noise-inf", "amplitude-nan", "amplitude-inf"])
+    @pytest.mark.parametrize("command", ["gen", "run"])
+    def test_non_finite_noise_or_amplitude_exits_2(self, tmp_path, capsys,
+                                                   desk_config, command, flag):
+        out = tmp_path / "out"
+        try:
+            code = run_cli(command, "--config", desk_config, "--out", str(out),
+                           *flag)
+        except SystemExit as exc:  # argparse rejects a bad --inject value
+            code = exc.code
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_bad_devices(self):
         with pytest.raises(SpecError):
             RunSpec(config=FdasConfig.desk_scale(), n_devices=0)

@@ -222,6 +222,22 @@ class TestConvolveBank:
             else:
                 assert np.array_equal(one.values, four.values)
 
+    @pytest.mark.parametrize("strategy", [NaiveFd(), OlsFd(256)],
+                             ids=["naive-fd", "ols-fd"])
+    def test_fd_output_bytes_independent_of_threads_and_groups(self, rng,
+                                                                strategy):
+        # each worker thread multiplies into its own reused product buffer
+        x = random_series(rng, 2048)
+        bank = small_bank(rng, n_templates=9)
+        outputs = set()
+        for threads in (1, 3):
+            for filters_per_launch in (1, 2):
+                out, _ = convolve_bank(x, bank, strategy, threads=threads,
+                                       filters_per_launch=filters_per_launch)
+                arr = out.chunks if isinstance(out, ConvRawOutput) else out.values
+                outputs.add(arr.tobytes())
+        assert len(outputs) == 1
+
     def test_per_launch_times_recorded(self, rng):
         x = random_series(rng, 512)
         bank = small_bank(rng, n_templates=6)

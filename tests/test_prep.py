@@ -1,12 +1,15 @@
 """Plane preparation: discard, transpose, reorder, and the combination matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fdas.convolution import (ConvRawOutput, NaiveFd, NaiveTd, OlaTd, OlsFd,
-                              convolve_bank, fir_naive_td, fir_ols_fd,
-                              power_spectrum)
-from fdas.core import FilterBank, Fop
+                              assemble_ols, convolve_bank, fir_naive_td,
+                              fir_ols_fd, power_spectrum)
+from fdas.core import (FdasConfig, FilterBank, Fop, generate_input,
+                       synthetic_bank)
 from fdas.harmonic import (MultipleHpN, MultipleHpR, NaiveMultipleHp, SingleHp,
                            stretch_lookup)
 from fdas.prep import (TILE_POINTS, PrepError, RFop, discard, fop_from,
@@ -18,23 +21,39 @@ from conftest import random_plane, random_series, random_taps, rel_err
 class TestDiscard:
     def test_arithmetic(self):
         # 2 chunks of length 8 with a 3-point overlap leave 5 valid points
-        # each; a 10-column plane survives
+        # each; a 10-column plane of their powers survives
         chunks = np.arange(16, dtype=np.complex64).reshape(1, 2, 8)
         raw = ConvRawOutput(chunks, overlap=3, n_cols=10)
         out = discard(raw)
-        assert out.shape == (1, 10)
-        assert np.array_equal(out[0], np.r_[np.arange(3, 8), np.arange(11, 16)])
+        assert out.shape == (1, 10) and out.dtype == np.float32
+        assert np.array_equal(out[0],
+                              np.r_[np.arange(3, 8), np.arange(11, 16)] ** 2)
 
     def test_zero_overlap_is_identity_concatenation(self):
         chunks = np.arange(16, dtype=np.complex64).reshape(1, 2, 8)
         raw = ConvRawOutput(chunks, overlap=0, n_cols=16)
-        assert np.array_equal(discard(raw)[0], np.arange(16))
+        assert np.array_equal(discard(raw)[0], np.arange(16) ** 2)
+
+    def test_power_sums_both_components(self):
+        chunks = np.full((1, 1, 4), 3 + 4j, dtype=np.complex64)
+        raw = ConvRawOutput(chunks, overlap=1, n_cols=3)
+        assert np.array_equal(discard(raw)[0], [25, 25, 25])
+
+    @pytest.mark.parametrize("overlap,n_chunks,n_cols", [
+        (3, 3, 15), (3, 1, 4), (0, 2, 13), (3, 3, 12)],
+        ids=["whole-chunks", "partial-only", "no-overlap", "whole-and-partial"])
+    def test_bytes_equal_power_of_assembled_series(self, rng, overlap,
+                                                   n_chunks, n_cols):
+        chunks = random_series(rng, 3 * n_chunks * 8).reshape(3, n_chunks, 8)
+        raw = ConvRawOutput(chunks, overlap=overlap, n_cols=n_cols)
+        want = np.stack([power_spectrum(assemble_ols(raw, t)) for t in range(3)])
+        assert discard(raw).tobytes() == want.tobytes()
 
     def test_recovers_naive_td(self, rng):
         x = random_series(rng, 4096)
         h = random_taps(rng, 60)
         _, raw = fir_ols_fd(x, h, 512)
-        assert rel_err(discard(raw)[0], fir_naive_td(x, h)) < 1e-4
+        assert rel_err(discard(raw)[0], power_spectrum(fir_naive_td(x, h))) < 1e-4
 
     def test_requires_raw(self, rng):
         with pytest.raises(PrepError):
@@ -235,3 +254,37 @@ class TestPrepare:
         assert isinstance(pr.plane, RFop)
         assert (pr.b_discard, pr.b_transpose, pr.b_reorder) == (True, True, True)
         assert pr.fop.template_major().shape == (3, 1024)
+
+
+def traced_peak(fn):
+    """Bytes ``fn()`` allocates above its starting level, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak
+
+
+class TestPeakAllocation:
+    """Allocation peaks per stage, as multiples of the plane, at 2^14 channels,
+    21 templates and 129 taps through 2048-point overlap-save chunks."""
+
+    @pytest.fixture(scope="class")
+    def raw(self):
+        cfg = FdasConfig.desk_scale(n_chan=2 ** 14, n_temp=21, n_tap=129)
+        x = generate_input(cfg, [(5000, 8, 10.0)], 0.5, seed=3)
+        return convolve_bank(x, synthetic_bank(cfg, seed=3), OlsFd(2048))[0]
+
+    def plane_bytes(self, raw):
+        return raw.n_templates * raw.n_cols * np.dtype(np.float32).itemsize
+
+    def test_fop_from_holds_about_one_plane(self, raw):
+        assert traced_peak(lambda: fop_from(raw)) <= 1.25 * self.plane_bytes(raw)
+
+    def test_discard_and_transpose_hold_two_planes(self, raw):
+        peak = traced_peak(lambda: prepare(raw, NaiveMultipleHp(), n_hp=8))
+        assert peak <= 2.25 * self.plane_bytes(raw)
