@@ -3,8 +3,8 @@ summing with candidate detection, plane-preparation transforms, and an
 analytic pipeline throughput model."""
 
 from .core import (ConfigError, FdasConfig, FdasError, FilterBank, Fop,
-                   FormatError, generate_input, load_config, load_fop,
-                   save_config, save_fop, synthetic_bank)
+                   FormatError, InputError, generate_input, load_config,
+                   load_fop, save_config, save_fop, synthetic_bank)
 from .convolution import (ConvRawOutput, NaiveFd, NaiveTd, OlaTd, OlsFd,
                           convolve_bank, fir_naive_td, fir_ols_fd,
                           power_spectrum)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import harness
 from . import pipeline as pl
-from .core import (ConfigError, FdasConfig, FdasError, generate_input,
-                   load_config, save_config)
+from .core import (ConfigError, FdasConfig, FdasError, InputError,
+                   generate_input, load_config, save_config)
 
 
 def _parse_injection(text: str):
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen(args) -> int:
     cfg = _load_cfg(args)
-    harness.RunSpec(cfg, seed=args.seed, noise_sigma=args.noise)  # run's checks
+    harness.check_seed(args.seed)
     series = generate_input(cfg, args.inject, args.noise, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -192,7 +192,7 @@ def main(argv=None) -> int:
                 "sweep": cmd_sweep}
     try:
         return handlers[args.command](args)
-    except (harness.SpecError, ConfigError, pl.ModelError) as exc:
+    except (harness.SpecError, ConfigError, InputError, pl.ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FdasError as exc:

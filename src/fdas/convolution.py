@@ -20,7 +20,8 @@ whole bank at once, so the working set stays one template's chunks: each
 worker thread multiplies into one reused product buffer, and overlap-save
 chunks turn complex64 as they are stored. Their power plane is built later
 by the plane-preparation discard, so no plane-sized temporary lies between
-the chunks and the plane.
+the chunks and the plane. Every power plane, whichever route builds it, is
+squared by ``power_spectrum`` straight into the template's plane row.
 """
 
 from __future__ import annotations
@@ -94,10 +95,13 @@ def dft(x, inverse: bool = False) -> np.ndarray:
     return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
-def power_spectrum(y) -> np.ndarray:
-    """Elementwise power re^2 + im^2 (float32 for complex64 input)."""
+def power_spectrum(y, out=None) -> np.ndarray:
+    """Elementwise power re*re + im*im (float32 for complex64 input), the
+    one power kernel of every plane writer; ``out`` works as in numpy."""
     arr = np.asarray(y)
-    return arr.real ** 2 + arr.imag ** 2
+    out = np.multiply(arr.real, arr.real, out=out)
+    out += arr.imag * arr.imag
+    return out
 
 
 def fir_naive_td(x, h) -> np.ndarray:
@@ -259,7 +263,7 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
                             partial[t][delay:] += part[: n - delay]
                 stamps.append(time.perf_counter())
             for t in group:
-                rows[t] = power_spectrum(partial[t])
+                power_spectrum(partial[t], out=rows[t])
             stamps[-1] = time.perf_counter()  # the last launch writes the rows
             return stamps
 
@@ -287,7 +291,7 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
                     chunk_rows[t] = y  # complex64 on assignment
                 else:
                     # in complex64 first, so the power is float32
-                    rows[t] = power_spectrum(y[0, :n].astype(np.complex64))
+                    power_spectrum(y[0, :n].astype(np.complex64), out=rows[t])
             return [time.perf_counter()]
 
     else:

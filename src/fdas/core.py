@@ -32,6 +32,10 @@ class FormatError(FdasError):
     """Structurally invalid binary artifact (a FOP file or plane)."""
 
 
+class InputError(FdasError):
+    """Noise or injections that make no finite complex64 input series."""
+
+
 def is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -43,6 +47,11 @@ def is_finite_number(value) -> bool:
                 and math.isfinite(value))
     except OverflowError:
         return False
+
+
+def is_int(value) -> bool:
+    """An integer, numpy integers included; a bool is no integer here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def next_pow2(n: int) -> int:
@@ -76,7 +85,7 @@ class FdasConfig:
         for f in fields(self):  # every int is a count >= 1, every number > 0
             value = getattr(self, f.name)
             if f.type == "int":
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                if not is_int(value):
                     raise ConfigError(f"{f.name}: expected an integer, got {value!r}")
                 if value < 1:
                     raise ConfigError(f"{f.name}: must be >= 1, got {value}")
@@ -156,6 +165,27 @@ def as_series(x, n_chan: int | None = None) -> np.ndarray:
     return arr
 
 
+def check_generation(n_chan: int, injections, noise_sigma: float) -> None:
+    """Raise InputError unless noise_sigma is finite and >= 0 and every
+    (channel, harmonics, amplitude) injection has an integer channel in
+    [0, n_chan), an integer harmonics >= 1 and a finite amplitude > 0."""
+    if not is_finite_number(noise_sigma):
+        raise InputError(f"noise_sigma must be finite, got {noise_sigma}")
+    if noise_sigma < 0:
+        raise InputError("noise_sigma must be >= 0")
+    for channel, harmonics, amplitude in injections:
+        if not (is_int(channel) and is_int(harmonics)):
+            raise InputError("injection channel and harmonics must be integers, "
+                             f"got {channel!r} and {harmonics!r}")
+        if not 0 <= channel < n_chan:
+            raise InputError(f"injection channel {channel} out of range [0, {n_chan})")
+        if harmonics < 1:
+            raise InputError(f"injection harmonics must be >= 1, got {harmonics}")
+        if not (is_finite_number(amplitude) and amplitude > 0):
+            raise InputError(
+                f"injection amplitude must be finite and > 0, got {amplitude}")
+
+
 def generate_input(config: FdasConfig, injections=(), noise_sigma: float = 0.0,
                    seed: int = 0) -> np.ndarray:
     """Synthesize a frequency series with optional harmonic tone injections.
@@ -165,26 +195,24 @@ def generate_input(config: FdasConfig, injections=(), noise_sigma: float = 0.0,
     carries a power peak and so do its integer fractions, which is what the
     harmonic-summing stretch lookups accumulate. noise_sigma is the
     per-component standard deviation of complex Gaussian noise. Deterministic
-    for a fixed seed.
+    for a fixed seed. Inputs that ``check_generation`` rejects, or that
+    overflow complex64, raise InputError.
     """
-    if noise_sigma < 0:
-        raise FdasError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    check_generation(config.n_chan, injections, noise_sigma)
     n = config.n_chan
     data = np.zeros(n, dtype=np.complex64)
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        re = rng.standard_normal(n, dtype=np.float32)
-        im = rng.standard_normal(n, dtype=np.float32)
-        data += noise_sigma * (re + 1j * im).astype(np.complex64)
-    for channel, harmonics, amplitude in injections:
-        if not 0 <= channel < n:
-            raise FdasError(f"injection channel {channel} out of range [0, {n})")
-        if harmonics < 1:
-            raise FdasError(f"injection harmonics must be >= 1, got {harmonics}")
-        if amplitude <= 0:
-            raise FdasError(f"injection amplitude must be > 0, got {amplitude}")
-        for k in range(1, harmonics + 1):
-            data[channel // k] += np.complex64(amplitude)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if noise_sigma > 0:
+            rng = np.random.default_rng(seed)
+            re = rng.standard_normal(n, dtype=np.float32)
+            im = rng.standard_normal(n, dtype=np.float32)
+            data += noise_sigma * (re + 1j * im).astype(np.complex64)
+        for channel, harmonics, amplitude in injections:
+            for k in range(1, harmonics + 1):
+                data[channel // k] += np.complex64(amplitude)
+    parts = data.view(np.float32)  # min and max propagate NaN and +-inf
+    if not (np.isfinite(parts.min()) and np.isfinite(parts.max())):
+        raise InputError("noise and injections overflow the complex64 series")
     return data
 
 

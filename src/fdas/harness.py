@@ -20,8 +20,8 @@ from . import convolution as conv
 from . import harmonic as hm
 from . import pipeline as pl
 from . import prep
-from .core import (FdasConfig, FdasError, Fop, generate_input,
-                   is_finite_number, next_pow2, save_fop, synthetic_bank)
+from .core import (FdasConfig, FdasError, Fop, check_generation,
+                   generate_input, next_pow2, save_fop, synthetic_bank)
 
 
 class SpecError(FdasError):
@@ -83,10 +83,7 @@ class RunSpec:
             value = getattr(self, name)  # n_templates None: from the config
             if value is not None and value < 1:
                 raise SpecError(f"{name} must be >= 1")
-        if not is_finite_number(self.noise_sigma):
-            raise SpecError(f"noise_sigma must be finite, got {self.noise_sigma}")
-        if self.noise_sigma < 0:
-            raise SpecError("noise_sigma must be >= 0")
+        check_generation(self.config.n_chan, self.injections, self.noise_sigma)
         if self.threshold is not None:
             with np.errstate(over="ignore"):  # held as float32 in the table
                 level = np.float32(self.threshold)

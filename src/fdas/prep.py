@@ -2,15 +2,15 @@
 
 Three transforms adapt any convolution output to any harmonic-summing input:
 discard strips the invalid chunk prefixes of overlap-save output and squares
-the valid points, template by template, into the float32 power plane with no
-plane-sized temporary; transpose flips the plane orientation, and reorder
-builds the duplicated/padded streaming layout consumed by the block-streaming
-harmonic strategy. Which
-subset fires is read off the convolution result (chunked or not) and the
-harmonic strategy's kind; when none is needed the preparation is the
-identity with zero cost. Reorder and every traversal of ``fdas.harmonic``
-run over tiles of about ``TILE_POINTS`` plane points: linear in plane size,
-with bounded index arrays.
+the valid points through ``power_spectrum``, template by template, into the
+float32 power plane with no plane-sized temporary; transpose flips the plane
+orientation, and reorder builds the duplicated/padded streaming layout
+consumed by the block-streaming harmonic strategy. Which subset fires is
+read off the convolution result (chunked or not) and the harmonic strategy's
+kind; when none is needed the preparation is the identity with zero cost.
+Reorder and every traversal of ``fdas.harmonic`` run over tiles of about
+``TILE_POINTS`` plane points: linear in plane size, with bounded index
+arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (FdasError, Fop, next_pow2, signed_range, storage_row,
                    template_offset)
-from .convolution import ConvRawOutput
+from .convolution import ConvRawOutput, power_spectrum
 
 TILE_POINTS = 1 << 16  # plane points per tile of whole blocks
 
@@ -47,10 +47,10 @@ def discard(raw: ConvRawOutput) -> np.ndarray:
     """Float32 power plane of the valid columns, (n_templates, n_cols).
 
     Per template the first ``overlap`` points of every chunk are dropped and
-    the remainders' powers, ``power_spectrum``'s float32 re*re + im*im, are
-    written straight into one preallocated plane: whole chunks through a
-    (chunks x advance) view of the template's row, then the partial last
-    chunk. No plane-sized complex or squared temporary is made.
+    the remainders are squared through ``power_spectrum`` straight into one
+    preallocated plane: whole chunks into a (chunks x advance) view of the
+    template's row, then the partial last chunk. No plane-sized complex or
+    squared temporary is made.
     """
     if not isinstance(raw, ConvRawOutput):
         raise PrepError("discard expects chunked convolution output")
@@ -58,21 +58,12 @@ def discard(raw: ConvRawOutput) -> np.ndarray:
     full, tail = divmod(n_cols, advance)
     cut = full * advance
     plane = np.empty((raw.n_templates, n_cols), dtype=np.float32)
-    im = np.empty(max(cut, tail), dtype=np.float32)
     for row, chunks in zip(plane, raw.chunks):
         valid = chunks[:, raw.overlap:]
-        _power_into(valid[:full], row[:cut].reshape(full, advance),
-                    im[:cut].reshape(full, advance))
+        power_spectrum(valid[:full], out=row[:cut].reshape(full, advance))
         if tail:
-            _power_into(valid[full, :tail], row[cut:], im[:tail])
+            power_spectrum(valid[full, :tail], out=row[cut:])
     return plane
-
-
-def _power_into(v: np.ndarray, out: np.ndarray, im: np.ndarray) -> None:
-    """out = v.real * v.real + v.imag * v.imag in out's float32, im a scratch."""
-    np.multiply(v.real, v.real, out=out)
-    np.multiply(v.imag, v.imag, out=im)
-    np.add(out, im, out=out)
 
 
 def fop_from(result) -> Fop:

@@ -1,9 +1,11 @@
 """Command-line harness: artifacts, determinism, exit codes."""
 
 import argparse
+import functools
 import itertools
 import json
 import math
+import re
 import time
 import types
 import weakref
@@ -16,9 +18,10 @@ from fdas import convolution, harmonic, harness, prep
 from fdas import pipeline as pl
 from fdas.cli import build_parser, main
 from fdas.convolution import CONV_KINDS
-from fdas.core import FdasConfig, load_fop, save_config
+from fdas.core import FdasConfig, InputError, load_fop, save_config
 from fdas.harmonic import HM_KINDS, CandidateList
-from fdas.harness import RunSpec, SpecError, execute, verification_checks
+from fdas.harness import (RunSpec, SpecError, execute, measure_sweep,
+                          verification_checks)
 from fdas.pipeline import PipelinePlan, StageTiming
 
 DESK = dict(n_chan=1024, n_temp=5, n_tap=17, n_cand=16)
@@ -47,6 +50,15 @@ class TestGen:
         assert a == b
         series = np.load(out1 / "input.npy")
         assert series.shape == (1024,) and series.dtype == np.complex64
+
+    def test_needs_no_runnable_combination(self, tmp_path):
+        # gen convolves nothing, so a filter longer than the default
+        # overlap-save chunk is no reason to refuse it
+        cfg_path = tmp_path / "cfg.json"
+        save_config(FdasConfig.desk_scale(n_tap=4096), cfg_path)
+        assert run_cli("gen", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "g")) == 0
+        assert (tmp_path / "g" / "input.npy").exists()
 
 
 class TestRun:
@@ -132,12 +144,27 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {key}: expected")
         assert not (tmp_path / "x").exists()
 
-    def test_runtime_error_exits_1(self, tmp_path, desk_config):
-        # injection channel beyond the plane is caught while running, not
-        # while validating the spec
-        rc = run_cli("run", "--config", desk_config, "--out", str(tmp_path / "x"),
-                     "--inject", "99999:1:1.0")
+    def test_runtime_error_exits_1(self, tmp_path, capsys, desk_config,
+                                   monkeypatch):
+        # a stage that fails on a valid spec is a runtime failure
+        def failing_bank(*args, **kwargs):
+            raise convolution.ConvolutionError("stage failed")
+
+        monkeypatch.setattr(convolution, "convolve_bank", failing_bank)
+        rc = run_cli("run", "--config", desk_config, "--out", str(tmp_path / "x"))
         assert rc == 1
+        assert capsys.readouterr().err == "error: stage failed\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text", ["1:2", "a:1:1"])
+    def test_malformed_injection_exits_2(self, tmp_path, capsys, desk_config,
+                                         text):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", desk_config, "--out", str(tmp_path / "x"),
+                    "--inject", text)
+        assert exc.value.code == 2
+        assert "--inject" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_template_count_override(self, tmp_path, desk_config):
         # half-plane style runs drop one template row
@@ -245,6 +272,13 @@ class TestVerify:
     def test_bad_scale_exits_2(self):
         assert run_cli("verify", "--scale", "1000") == 2
 
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        checks = functools.partial(verification_checks, corrupt=(1, 7, 1000.0))
+        monkeypatch.setattr(harness, "verification_checks", checks)
+        assert run_cli("verify", "--scale", "1024") == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"\d+ of \d+ checks failed: harmonic .*", last)
+
     def test_corruption_is_detected_and_named(self):
         checks = verification_checks(1024, seed=0, corrupt=(1, 7, 1000.0))
         failing = [c for c in checks if not c.passed]
@@ -342,6 +376,10 @@ class TestSweep:
         tfile.write_text("[]")
         assert run_cli("sweep", "--timings", str(tfile),
                        "--out", str(tmp_path / "s")) == 2
+
+    def test_measure_sweep_needs_a_combination(self):
+        with pytest.raises(SpecError, match="at least one combination"):
+            measure_sweep(FdasConfig.desk_scale(**DESK), [])
 
     def test_measured_mode_repeatability(self, tmp_path, monkeypatch):
         # Two sweeps read the same injected clock, restarted for each, so
@@ -448,6 +486,38 @@ class TestRunSpecValidation:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [
+        ["--inject", "5:0:1.0"], ["--inject", "99999:1:1.0"],
+        ["--inject", "5:1:0"], ["--inject", "5:1:-1.0"],
+        ["--noise", "1e39"], ["--inject", "5:1:1e39"]],
+        ids=["zero-harmonics", "channel-out-of-range", "zero-amplitude",
+             "negative-amplitude", "noise-overflow", "amplitude-overflow"])
+    @pytest.mark.parametrize("command", ["gen", "run"])
+    @pytest.mark.filterwarnings("error")  # no overflow warning either
+    def test_invalid_or_overflowing_input_exits_2(self, tmp_path, capsys,
+                                                  desk_config, command, flag):
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", desk_config, "--out", str(out),
+                       *flag) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("injection,message", [
+        ((5, 0, 1.0), "harmonics must be >= 1"),
+        ((1024, 1, 1.0), r"channel 1024 out of range \[0, 1024\)"),
+        ((-1, 1, 1.0), "channel -1 out of range"),
+        ((5.0, 1, 1.0), "channel and harmonics must be integers"),
+        ((5, True, 1.0), "channel and harmonics must be integers"),
+        ((5, 1, 0.0), "amplitude must be finite and > 0"),
+        ((5, 1, float("nan")), "amplitude must be finite and > 0")],
+        ids=["zero-harmonics", "channel-n-chan", "channel-negative",
+             "channel-float", "harmonics-bool", "zero-amplitude", "nan-amplitude"])
+    def test_each_injection_checked_when_built(self, injection, message):
+        with pytest.raises(InputError, match=message):
+            RunSpec(config=FdasConfig.desk_scale(**DESK),
+                    injections=((100, 2, 5.0), injection))
 
     def test_rejects_bad_devices(self):
         with pytest.raises(SpecError):

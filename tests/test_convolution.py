@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fdas import convolution
+from fdas.cli import main
 from fdas.convolution import (ConvolutionError, ConvRawOutput, NaiveFd,
                               NaiveTd, OlaTd, OlsFd, assemble_ols,
                               convolve_bank, fir_naive_td, fir_ols_fd,
@@ -35,6 +36,15 @@ class TestPowerSpectrum:
         y = random_series(rng, 512)
         ref = np.abs(y.astype(np.complex128)) ** 2
         assert rel_err(power_spectrum(y), ref) < 1e-6
+
+    def test_out_is_written_and_returned(self, rng):
+        # as numpy's out=: a strided input squared into a 2-D view of a row
+        y = random_series(rng, 96).reshape(4, 24)[:, 3:]
+        row = np.full(100, -1.0, dtype=np.float32)
+        out = row[10:94].reshape(4, 21)
+        assert power_spectrum(y, out=out) is out
+        assert out.tobytes() == power_spectrum(y).tobytes()
+        assert (row[:10] == -1).all() and (row[94:] == -1).all()
 
 
 class TestNaiveTd:
@@ -157,6 +167,23 @@ class TestOlsFd:
                           n_cols=11)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: OlsFd(3), "chunk must be a power of two, got 3"),
+        (lambda: ConvRawOutput(np.zeros((2, 8), dtype=np.complex64), overlap=0,
+                               n_cols=8), "must be a 3-D array")],
+        ids=["ols-chunk-3", "raw-2-d"])
+    def test_typed_error(self, call, message):
+        with pytest.raises(ConvolutionError, match=message):
+            call()
+
+    def test_ols_chunk_3_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--out", str(tmp_path / "x"), "--conv", "ols-fd",
+                     "--conv-param", "3"]) == 2
+        assert "chunk must be a power of two" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 def small_bank(rng, n_templates=5, max_tap=33):
     taps = [random_taps(rng, int(rng.integers(1, max_tap + 1)))
             for _ in range(n_templates)]
@@ -254,9 +281,9 @@ class TestConvolveBank:
         # split cannot, and it covers the row writes
         power = convolution.power_spectrum
 
-        def slow_power_spectrum(y):
+        def slow_power_spectrum(y, out=None):
             time.sleep(0.02)
-            return power(y)
+            return power(y, out=out)
 
         monkeypatch.setattr(convolution, "power_spectrum", slow_power_spectrum)
         x = random_series(rng, 256)

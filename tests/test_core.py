@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fdas.cli import main
 from fdas.core import (ConfigError, FdasConfig, FdasError, FilterBank, Fop,
-                       FormatError, as_series, generate_input, load_config,
-                       load_fop, save_config, save_fop, signed_range,
-                       storage_row, synthetic_bank)
+                       FormatError, InputError, as_series, generate_input,
+                       load_config, load_fop, save_config, save_fop,
+                       signed_range, storage_row, synthetic_bank)
 
 
 class TestConfig:
@@ -107,6 +108,36 @@ class TestConfig:
         size = FdasConfig().n_temp * FdasConfig().n_chan * 4
         assert size == 713031680
         assert abs(size / 1e6 - 710) / 710 < 0.01
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("text,message", [
+        ('{"t_obs": 0}', "t_obs: must be > 0, got 0"),
+        ("[]", "top level must be an object")], ids=["zero-t-obs", "list"])
+    def test_config_file_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["gen", "--config", str(path), "--out",
+                     str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: FilterBank([np.ones((2, 2))]), FdasError,
+         "template 0: must be a non-empty 1-D array"),
+        (lambda: save_fop(Fop(np.ones((2, 3)), channel_major=True), "unused"),
+         FormatError, "transpose first"),
+        (lambda: generate_input(FdasConfig.desk_scale(), noise_sigma=1e39),
+         InputError, "overflow"),
+        (lambda: generate_input(FdasConfig.desk_scale(), [(8, 4, 2e38)]),
+         InputError, "overflow")],
+        ids=["2-d-template", "channel-major-file",
+             "noise-overflow", "summed-amplitude-overflow"])
+    def test_typed_error(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestSignedIndexing:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fdas import harmonic, prep
+from fdas.cli import main
 from fdas.core import FdasConfig, Fop, storage_row
 from fdas.harmonic import (CANDIDATE_DTYPE, CandidateList, HarmonicError,
                            MultipleHpN, MultipleHpR, NaiveMultipleHp, SingleHp,
@@ -101,6 +102,22 @@ class TestThresholdTable:
             ThresholdTable(np.zeros((2, 3), dtype=np.float32))
         with pytest.raises(HarmonicError):
             ThresholdTable(np.full((2, 3), np.inf, dtype=np.float32))
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: ThresholdTable(np.ones(3, dtype=np.float32)), "must be 2-D"),
+        (lambda: ThresholdTable.constant(1.0, 2, 3).row(0),
+         r"harmonic 0 out of range \[1, 2\]"),
+        (lambda: MultipleHpN(0), "cols_per_group must be >= 1, got 0")],
+        ids=["1-d-table", "row-0", "multi-n-0"])
+    def test_typed_error(self, call, message):
+        with pytest.raises(HarmonicError, match=message):
+            call()
+
+    def test_multi_n_cols_0_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--out", str(tmp_path / "x"), "--hm", "multi-n",
+                     "--hm-cols", "0"]) == 2
+        assert "cols_per_group must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_constant_per_harmonic(self):
         table = ThresholdTable.constant([1.0, 2.0], 2, 4)

@@ -179,6 +179,11 @@ class TestIdealPeriod:
     def test_serial(self):
         assert ideal_period(totals(1, 2, 3), 1) == 6
 
+    @pytest.mark.parametrize("buffering", [0, 4])
+    def test_unknown_buffering_rejected(self, buffering):
+        with pytest.raises(ModelError, match="buffering must be 1, 2 or 3"):
+            ideal_period(totals(1, 2, 3), buffering)
+
 
 class TestSimulateOverlap:
     def test_no_contention_returns_durations(self):

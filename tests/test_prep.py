@@ -5,13 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fdas.convolution import (ConvRawOutput, NaiveFd, NaiveTd, OlaTd, OlsFd,
-                              assemble_ols, convolve_bank, fir_naive_td,
-                              fir_ols_fd, power_spectrum)
+from fdas.convolution import (CONV_KINDS, ConvRawOutput, NaiveFd, NaiveTd,
+                              OlaTd, OlsFd, assemble_ols, convolve_bank,
+                              fir_naive_td, fir_ols_fd, power_spectrum)
 from fdas.core import (FdasConfig, FilterBank, Fop, generate_input,
                        synthetic_bank)
-from fdas.harmonic import (MultipleHpN, MultipleHpR, NaiveMultipleHp, SingleHp,
-                           stretch_lookup)
+from fdas.harmonic import (HM_KINDS, MultipleHpN, MultipleHpR, NaiveMultipleHp,
+                           SingleHp, ThresholdTable, harmonic_sum,
+                           harmonic_sum_naive, stretch_lookup)
 from fdas.prep import (TILE_POINTS, PrepError, RFop, discard, fop_from,
                        prepare, reorder, required_transforms, transpose)
 
@@ -229,6 +230,37 @@ class TestCombinationMatrix:
     def test_unknown_strategy(self):
         with pytest.raises(PrepError):
             required_transforms(False, object())
+
+    def test_every_registered_pair_runs(self):
+        # each strategy at its defaults: one registered without a
+        # convolve_bank branch or a required_transforms row fails here
+        cfg = FdasConfig.desk_scale(n_chan=256, n_temp=3, n_hp=2, n_cand=4)
+        x = generate_input(cfg, [(200, 2, 10.0)], 0.5, seed=1)
+        bank = synthetic_bank(cfg, seed=1)
+        for conv_kind, conv_cls in CONV_KINDS.items():
+            result, _ = convolve_bank(x, bank, conv_cls())
+            for hm_kind, hm_cls in HM_KINDS.items():
+                pr = prepare(result, hm_cls(), cfg.n_hp)
+                assert pr.fop.template_major().shape == (3, 256)
+                thresholds = ThresholdTable.from_plane(pr.fop, cfg.n_hp)
+                _, want = harmonic_sum_naive(pr.fop, thresholds, cfg)
+                got = harmonic_sum(pr.plane, thresholds, cfg)
+                assert got.same_as(want), (conv_kind, hm_kind)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call,message", [
+        (lambda fop: reorder(fop, 4, 2).lookup(3, 0, 0),
+         r"harmonic 3 out of range \[1, 2\]"),
+        (lambda fop: reorder(fop, 4, 2).lookup(1, 0, 16),
+         r"channel 16 out of range \[0, 16\)"),
+        (lambda fop: reorder(fop, 0, 1), "block_cols and n_hp must be >= 1"),
+        (lambda fop: fop_from(object()), "cannot build a plane from object")],
+        ids=["lookup-harmonic", "lookup-channel", "reorder-0-cols",
+             "fop-from-object"])
+    def test_typed_error(self, rng, call, message):
+        with pytest.raises(PrepError, match=message):
+            call(Fop(random_plane(rng, 3, 16)))
 
 
 class TestPrepare:
