@@ -11,17 +11,18 @@ added in at their delays. ``naive-td`` is its one-split case, with one
 sub-filter as wide as the longest template.
 
 Both frequency-domain routes run one kernel on numpy's FFT, called only
-through ``dft``: the input chunks are transformed once in one batched call,
-and each template is one forward transform, a broadcast multiply and one
-batched inverse over all chunks.
-``naive-fd`` is its one-chunk case, with no overlap and a chunk that holds
-the whole linear convolution. The inverse runs per template, never over the
-whole bank at once, so the working set stays one template's chunks: each
-worker thread multiplies into one reused product buffer, and overlap-save
-chunks turn complex64 as they are stored. Their power plane is built later
-by the plane-preparation discard, so no plane-sized temporary lies between
-the chunks and the plane. Every power plane, whichever route builds it, is
-squared by ``power_spectrum`` straight into the template's plane row.
+through ``dft``, in complex64 from the padded input to the stored chunks:
+the input chunks are transformed once in one batched call, and each template
+is one forward transform, a broadcast multiply and one batched inverse over
+all chunks. ``naive-fd`` is its one-chunk case, with no overlap and a chunk
+that holds the whole linear convolution. The inverse runs per template, never
+over the whole bank at once, so the working set stays one template's chunks:
+each worker thread multiplies into one reused product buffer, and each
+overlap-save inverse is written straight into the template's chunk rows.
+Their power plane is built later by the plane-preparation discard, so no
+plane-sized temporary lies between the chunks and the plane. Every power
+plane, whichever route builds it, is squared by ``power_spectrum`` straight
+into the template's plane row and checked once by ``power_plane``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FdasError, FilterBank, Fop, as_series, is_pow2, next_pow2
+from .core import (FdasError, FilterBank, Fop, FormatError, InputError,
+                   as_series, is_pow2, next_pow2)
 from .pipeline import StageTiming
 
 
@@ -89,10 +91,11 @@ CONV_KINDS = {"naive-td": NaiveTd, "ola-td": OlaTd, "naive-fd": NaiveFd,
 
 # --- elementary operations --------------------------------------------------------
 
-def dft(x, inverse: bool = False) -> np.ndarray:
+def dft(x, inverse: bool = False, out=None) -> np.ndarray:
     """Transform along the last axis: exp(-2*pi*i*j*k/N) unscaled forward,
-    the conjugate kernel scaled by 1/N inverse."""
-    return np.fft.ifft(x) if inverse else np.fft.fft(x)
+    the conjugate kernel scaled by 1/N inverse. complex64 stays complex64,
+    in single precision; ``out`` works as in numpy."""
+    return np.fft.ifft(x, out=out) if inverse else np.fft.fft(x, out=out)
 
 
 def power_spectrum(y, out=None) -> np.ndarray:
@@ -102,6 +105,17 @@ def power_spectrum(y, out=None) -> np.ndarray:
     out = np.multiply(arr.real, arr.real, out=out)
     out += arr.imag * arr.imag
     return out
+
+
+def power_plane(rows: np.ndarray) -> Fop:
+    """The Fop of float32 powers squared from a finite series. Squares are
+    never negative, so the plane's one failing check is a non-finite power:
+    the series' power overflows float32, which InputError reports."""
+    try:
+        return Fop(rows)
+    except FormatError as exc:
+        raise InputError("the filter-output power overflows float32; "
+                         "scale the input series down") from exc
 
 
 def fir_naive_td(x, h) -> np.ndarray:
@@ -181,22 +195,22 @@ def _chunk_spectra(x: np.ndarray, chunk: int, overlap: int) -> np.ndarray:
     one batch: row m is the spectrum of chunk m, shape (n_chunks, chunk)."""
     advance = chunk - overlap
     n_chunks = ols_chunk_count(x.size, chunk, overlap)
-    padded = np.zeros(overlap + n_chunks * advance, dtype=np.complex128)
+    padded = np.zeros(overlap + n_chunks * advance, dtype=np.complex64)
     padded[overlap: overlap + x.size] = x
     chunks = np.lib.stride_tricks.sliding_window_view(padded, chunk)[::advance]
     return dft(chunks)
 
 
 def _fd_template(spectra: np.ndarray, h: np.ndarray, size: int,
-                 work: np.ndarray) -> np.ndarray:
+                 work: np.ndarray, out=None) -> np.ndarray:
     """Circular convolution of one template with every row of ``spectra``
-    (input spectra of ``size`` points): one forward transform of the
-    template, a broadcast multiply into ``work`` (complex128, shaped like
-    ``spectra``) and one batched inverse, returned in complex128."""
-    hh = np.zeros(size, dtype=np.complex128)
+    (complex64 input spectra of ``size`` points): one forward transform of
+    the template, a broadcast multiply into ``work`` (shaped like
+    ``spectra``) and one batched inverse into ``out``, all in complex64."""
+    hh = np.zeros(size, dtype=np.complex64)
     hh[: h.size] = h
     np.multiply(spectra, dft(hh), out=work)
-    return dft(work, inverse=True)
+    return dft(work, inverse=True, out=out)
 
 
 def assemble_ols(raw: ConvRawOutput, template: int = 0) -> np.ndarray:
@@ -274,7 +288,8 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
         overlap = bank.max_taps - 1 if ols else 0
         size = strategy.chunk if ols else next_pow2(n + bank.max_taps - 1)
         t0 = time.perf_counter()
-        spectra = _chunk_spectra(x, size, overlap)
+        with np.errstate(over="ignore", invalid="ignore"):  # see launch()
+            spectra = _chunk_spectra(x, size, overlap)
         input_transform_time = time.perf_counter() - t0
         input_transforms = spectra.shape[0]
         if ols:
@@ -286,25 +301,31 @@ def convolve_bank(x, bank: FilterBank, strategy, *, filters_per_launch: int = 1,
             if not hasattr(local, "work"):
                 local.work = np.empty_like(spectra)
             for t in group:
-                y = _fd_template(spectra, bank.templates[t], size, local.work)
+                h = bank.templates[t]
                 if ols:
-                    chunk_rows[t] = y  # complex64 on assignment
+                    _fd_template(spectra, h, size, local.work, out=chunk_rows[t])
                 else:
-                    # in complex64 first, so the power is float32
-                    power_spectrum(y[0, :n].astype(np.complex64), out=rows[t])
+                    y = _fd_template(spectra, h, size, local.work)
+                    power_spectrum(y[0, :n], out=rows[t])
             return [time.perf_counter()]
 
     else:
         raise ConvolutionError(f"unknown convolution strategy {strategy!r}")
 
+    def launch(group):
+        # an input too large for float32 leaves inf or NaN in the output,
+        # which power_plane reports; numpy's error state is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run_group(group)
+
     start = time.perf_counter()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_group, groups))
+            results = list(pool.map(launch, groups))
     else:
-        results = [run_group(g) for g in groups]
+        results = [launch(g) for g in groups]
     out = (ConvRawOutput(chunks=chunk_rows, overlap=overlap, n_cols=n)
-           if isinstance(strategy, OlsFd) else Fop(rows))
+           if isinstance(strategy, OlsFd) else power_plane(rows))
     # each launch returned the time it completed; sorted, the gaps split the
     # launch phase, which the last launch ends once the output is built
     stamps = sorted(t for times in results for t in times)

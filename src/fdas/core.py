@@ -152,13 +152,20 @@ def signed_range(n_rows: int) -> np.ndarray:
 
 # --- series ------------------------------------------------------------------
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Every part of a complex64 array is finite. Its min and max propagate
+    NaN and +-inf, so no mask the size of the array is built."""
+    parts = arr.view(np.float32)
+    return bool(np.isfinite(parts.min()) and np.isfinite(parts.max()))
+
+
 def as_series(x, n_chan: int | None = None) -> np.ndarray:
     """Validate/convert x to a 1-D complex64 series."""
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size == 0:
         raise FdasError("series must be a non-empty 1-D array")
     arr = arr.astype(np.complex64, copy=False)
-    if not np.isfinite(arr.view(np.float32)).all():
+    if not _all_finite(arr):
         raise FdasError("series contains non-finite values")
     if n_chan is not None and arr.size != n_chan:
         raise FdasError(f"series length {arr.size} != n_chan {n_chan}")
@@ -210,8 +217,7 @@ def generate_input(config: FdasConfig, injections=(), noise_sigma: float = 0.0,
         for channel, harmonics, amplitude in injections:
             for k in range(1, harmonics + 1):
                 data[channel // k] += np.complex64(amplitude)
-    parts = data.view(np.float32)  # min and max propagate NaN and +-inf
-    if not (np.isfinite(parts.min()) and np.isfinite(parts.max())):
+    if not _all_finite(data):
         raise InputError("noise and injections overflow the complex64 series")
     return data
 
@@ -232,7 +238,7 @@ class FilterBank:
             arr = np.asarray(h).astype(np.complex64)
             if arr.ndim != 1 or arr.size == 0:
                 raise FdasError(f"template {t}: must be a non-empty 1-D array")
-            if not np.isfinite(arr.view(np.float32)).all():
+            if not _all_finite(arr):
                 raise FdasError(f"template {t}: contains non-finite coefficients")
             cleaned.append(arr)
         self.templates = cleaned

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (FdasError, Fop, next_pow2, signed_range, storage_row,
                    template_offset)
-from .convolution import ConvRawOutput, power_spectrum
+from .convolution import ConvRawOutput, power_plane, power_spectrum
 
 TILE_POINTS = 1 << 16  # plane points per tile of whole blocks
 
@@ -50,7 +50,8 @@ def discard(raw: ConvRawOutput) -> np.ndarray:
     the remainders are squared through ``power_spectrum`` straight into one
     preallocated plane: whole chunks into a (chunks x advance) view of the
     template's row, then the partial last chunk. No plane-sized complex or
-    squared temporary is made.
+    squared temporary is made. A power that overflows float32 is left as
+    inf, for ``power_plane`` to report.
     """
     if not isinstance(raw, ConvRawOutput):
         raise PrepError("discard expects chunked convolution output")
@@ -58,11 +59,12 @@ def discard(raw: ConvRawOutput) -> np.ndarray:
     full, tail = divmod(n_cols, advance)
     cut = full * advance
     plane = np.empty((raw.n_templates, n_cols), dtype=np.float32)
-    for row, chunks in zip(plane, raw.chunks):
-        valid = chunks[:, raw.overlap:]
-        power_spectrum(valid[:full], out=row[:cut].reshape(full, advance))
-        if tail:
-            power_spectrum(valid[full, :tail], out=row[cut:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, chunks in zip(plane, raw.chunks):
+            valid = chunks[:, raw.overlap:]
+            power_spectrum(valid[:full], out=row[:cut].reshape(full, advance))
+            if tail:
+                power_spectrum(valid[full, :tail], out=row[cut:])
     return plane
 
 
@@ -73,7 +75,7 @@ def fop_from(result) -> Fop:
             return transpose(result)
         return result
     if isinstance(result, ConvRawOutput):
-        return Fop(discard(result))
+        return power_plane(discard(result))
     raise PrepError(f"cannot build a plane from {type(result).__name__}")
 
 

@@ -29,6 +29,12 @@ def direct_convolve(x, h):
     return y
 
 
+def direct_power_plane(x, bank):
+    """Template-major power plane |x * h|^2 of every template, zero history,
+    by ``direct_convolve`` in double precision."""
+    return np.array([np.abs(direct_convolve(x, h)) ** 2 for h in bank.templates])
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -85,3 +91,14 @@ def random_plane(rng, rows, cols):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def mid_scale():
+    """(series, bank) at 2^14 channels, 21 templates and 129 taps, with one
+    8-harmonic tone in noise."""
+    from fdas.core import FdasConfig, generate_input, synthetic_bank
+
+    cfg = FdasConfig.desk_scale(n_chan=2 ** 14, n_temp=21, n_tap=129)
+    return (generate_input(cfg, [(5000, 8, 10.0)], 0.5, seed=3),
+            synthetic_bank(cfg, seed=3))

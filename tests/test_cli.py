@@ -504,6 +504,23 @@ class TestRunSpecValidation:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("amplitude", ["1e25", "3e38"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("conv_kind", list(CONV_KINDS))
+    @pytest.mark.filterwarnings("error")  # no overflow warning either
+    def test_power_overflow_exits_2(self, tmp_path, capsys, desk_config,
+                                    conv_kind, threads, amplitude):
+        # a finite complex64 series whose filter-output power is not finite
+        # in float32 (3e38 overflows the convolution itself)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", desk_config, "--out", str(out),
+                       "--conv", conv_kind, "--threads", threads,
+                       "--inject", f"100:1:{amplitude}") == 2
+        err = capsys.readouterr().err
+        assert err == ("error: the filter-output power overflows float32; "
+                       "scale the input series down\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("injection,message", [
         ((5, 0, 1.0), "harmonics must be >= 1"),
         ((1024, 1, 1.0), r"channel 1024 out of range \[0, 1024\)"),

@@ -15,7 +15,8 @@ from fdas.convolution import (ConvolutionError, ConvRawOutput, NaiveFd,
 from fdas.core import FilterBank, next_pow2
 from fdas.prep import fop_from
 
-from conftest import direct_convolve, random_series, random_taps, rel_err
+from conftest import (direct_convolve, direct_power_plane, random_series,
+                      random_taps, rel_err)
 
 
 def plane_row(x, h, strategy):
@@ -117,6 +118,29 @@ class TestNaiveFd:
         x = random_series(rng, 1000)
         h = random_taps(rng, 421)
         assert rel_err(plane_row(x, h, NaiveFd()), plane_row(x, h, NaiveTd())) < 1e-4
+
+
+class TestSinglePrecision:
+    @pytest.mark.parametrize("strategy", [NaiveFd(), OlsFd(256)],
+                             ids=["naive-fd", "ols-fd"])
+    def test_every_transform_is_complex64(self, rng, monkeypatch, strategy):
+        seen = []
+        transform = convolution.dft
+
+        def recording_dft(x, inverse=False, out=None):
+            y = transform(x, inverse, out=out)
+            seen.append((np.asarray(x).dtype.name, y.dtype.name))
+            return y
+
+        monkeypatch.setattr(convolution, "dft", recording_dft)
+        convolve_bank(random_series(rng, 2048), small_bank(rng), strategy)
+        assert seen and set(seen) == {("complex64", "complex64")}
+
+    def test_ols_plane_matches_double_precision_oracle(self, mid_scale):
+        x, bank = mid_scale
+        ref = direct_power_plane(x, bank)
+        plane = fop_from(convolve_bank(x, bank, OlsFd(2048))[0]).values
+        assert np.max(np.abs(plane - ref)) <= 1e-5 * ref.max()
 
 
 class TestOlsFd:

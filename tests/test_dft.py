@@ -75,3 +75,26 @@ class TestProperties:
         got = dft(batch, inverse)
         assert got.shape == (3, 64) and got.dtype == dtype
         assert np.array_equal(got, np.stack([dft(row, inverse) for row in batch]))
+
+
+class TestSinglePrecision:
+    # a complex64 transform runs in single precision: about 8 float32
+    # epsilons (1.2e-7) of the peak bound its error up to 4096 points
+    BOUND = 1e-6
+
+    @pytest.mark.parametrize("size", [4, 64, 1024, 4096])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_matches_direct_reference(self, rng, size, inverse):
+        x = random_series(rng, size)
+        got = dft(x, inverse)
+        ref = direct_dft(x, inverse)
+        assert got.dtype == np.complex64
+        assert np.max(np.abs(got - ref)) < self.BOUND * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_out_is_written_and_returned(self, rng, dtype, inverse):
+        batch = random_series(rng, 3 * 64, dtype).reshape(3, 64)
+        buf = np.empty_like(batch)
+        assert dft(batch, inverse, out=buf) is buf
+        assert buf.tobytes() == dft(batch, inverse).tobytes()

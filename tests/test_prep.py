@@ -306,10 +306,8 @@ class TestPeakAllocation:
     21 templates and 129 taps through 2048-point overlap-save chunks."""
 
     @pytest.fixture(scope="class")
-    def raw(self):
-        cfg = FdasConfig.desk_scale(n_chan=2 ** 14, n_temp=21, n_tap=129)
-        x = generate_input(cfg, [(5000, 8, 10.0)], 0.5, seed=3)
-        return convolve_bank(x, synthetic_bank(cfg, seed=3), OlsFd(2048))[0]
+    def raw(self, mid_scale):
+        return convolve_bank(*mid_scale, OlsFd(2048))[0]
 
     def plane_bytes(self, raw):
         return raw.n_templates * raw.n_cols * np.dtype(np.float32).itemsize
@@ -320,3 +318,10 @@ class TestPeakAllocation:
     def test_discard_and_transpose_hold_two_planes(self, raw):
         peak = traced_peak(lambda: prepare(raw, NaiveMultipleHp(), n_hp=8))
         assert peak <= 2.25 * self.plane_bytes(raw)
+
+    def test_ols_convolution_holds_its_chunks_and_no_complex128(self, mid_scale,
+                                                                raw):
+        # complex64 spectra, one product buffer and the chunks; each inverse
+        # lands in its chunk rows
+        peak = traced_peak(lambda: convolve_bank(*mid_scale, OlsFd(2048)))
+        assert peak <= 1.25 * raw.chunks.nbytes
