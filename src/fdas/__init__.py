@@ -15,7 +15,6 @@ from .pipeline import (DeviceModel, PipelinePlan, StageTiming,
                        choose_buffering, contended_period, ideal_period,
                        multi_device_period, plan_pipeline, sweep,
                        total_latency)
-from .prep import (RFop, discard, fop_from, prepare, reorder,
-                   required_transforms, transpose)
+from .prep import RFop, discard, fop_from, prepare, reorder, transpose
 
 __version__ = "0.1.0"

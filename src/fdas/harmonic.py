@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FdasConfig, FdasError, Fop, next_pow2, signed_range,
-                   storage_row)
+from .core import FdasConfig, FdasError, Fop, signed_range, storage_row
 from .prep import (TILE_POINTS, RFop, _section_geometry, _tile_cols,
                    stretch_rows)
 
@@ -351,10 +350,10 @@ def access_counts(strategy, rows: int, cols: int, n_hp: int) -> tuple[int, int]:
         return read, read if isinstance(strategy, SingleHp) else 0
     if not isinstance(strategy, (MultipleHpN, MultipleHpR)):
         raise HarmonicError(f"unknown harmonic strategy {strategy!r}")
-    _, width, _, needed = _section_geometry(cols, strategy.cols_per_group,
-                                            n_hp, rows)
+    _, width, _, block_len = _section_geometry(cols, strategy.cols_per_group,
+                                               n_hp, rows)
     if isinstance(strategy, MultipleHpR):
-        return width.shape[0] * next_pow2(needed), 0
+        return width.shape[0] * block_len, 0
     distinct = [np.unique(stretch_rows(rows, k)).size for k in range(1, n_hp + 1)]
     return int(width.sum(axis=0) @ distinct), 0
 

@@ -150,7 +150,7 @@ def execute(spec: RunSpec):
     st.t_hm = time.perf_counter() - t0
     st.points_read, st.plane_writes = hm.access_counts(
         hm_s, *pr.fop.template_major().shape, cfg.n_hp)
-    rfop_bytes = pr.plane.blocks.nbytes if isinstance(pr.plane, prep.RFop) else 0
+    rfop_bytes = pr.plane.blocks.nbytes if pr.b_reorder else 0
     attach_demands(st, series.nbytes, pr.fop.nbytes, raw_bytes, rfop_bytes)
     return pr.fop, candidates, st, pr.plane
 
@@ -220,12 +220,12 @@ def verification_checks(scale: int = 2 ** 10, seed: int = 0,
     fops = {}
     for name, strat in strategies.items():
         result, _ = conv.convolve_bank(series, bank, strat)
-        fops[name] = prep.fop_from(result).values
+        fops[name] = prep.fop_from(result)
     names = list(fops)
     for a_idx in range(len(names)):
         for b_idx in range(a_idx + 1, len(names)):
             a, b = names[a_idx], names[b_idx]
-            ok = _rel_close(fops[a], fops[b], 1e-4)
+            ok = _rel_close(fops[a].values, fops[b].values, 1e-4)
             results.append(CheckResult(
                 f"convolution {a} vs {b}", ok,
                 "" if ok else f"planes diverge beyond 1e-4 (seed {seed})"))
@@ -237,19 +237,19 @@ def verification_checks(scale: int = 2 ** 10, seed: int = 0,
     direct = conv.fir_naive_td(series, h)
     ok = _rel_close(assembled, direct, 1e-4)
     results.append(CheckResult(
-        "discard(chunked) vs naive time-domain", ok,
+        "overlap-save assembly vs naive time-domain", ok,
         "" if ok else f"series diverge beyond 1e-4 (seed {seed})"))
 
     # harmonic strategies vs brute-force reference
-    fop = Fop(fops["naive-td"])
+    fop = reference_fop = fops["naive-td"]
     if corrupt is not None:
         row, col, delta = corrupt
         values = fop.values.copy()
         values[row, col] += np.float32(delta)
         fop = Fop(values)
-    thresholds = hm.ThresholdTable.from_plane(Fop(fops["naive-td"]), cfg.n_hp,
+    thresholds = hm.ThresholdTable.from_plane(reference_fop, cfg.n_hp,
                                               sigma_factor=2.0)
-    _, reference = hm.harmonic_sum_naive(Fop(fops["naive-td"]), thresholds, cfg)
+    _, reference = hm.harmonic_sum_naive(reference_fop, thresholds, cfg)
     hm_strategies = {
         "single": hm.SingleHp(),
         "naive-multi": hm.NaiveMultipleHp(),

@@ -4,10 +4,11 @@ Three transforms adapt any convolution output to any harmonic-summing input:
 discard strips the invalid chunk prefixes of overlap-save output and squares
 the valid points through ``power_spectrum``, template by template, into the
 float32 power plane with no plane-sized temporary; transpose flips the plane
-orientation, and reorder builds the duplicated/padded streaming layout
-consumed by the block-streaming harmonic strategy. Which subset fires is
-read off the convolution result (chunked or not) and the harmonic strategy's
-kind; when none is needed the preparation is the identity with zero cost.
+orientation without checking the values again, and reorder builds the
+duplicated/padded streaming layout consumed by the block-streaming harmonic
+strategy. ``prepare`` decides which subset fires from the convolution result
+(chunked or not) and one table keyed by the harmonic strategy's kind; when
+none is needed the preparation is the identity with zero cost.
 Reorder and every traversal of ``fdas.harmonic`` run over tiles of about
 ``TILE_POINTS`` plane points: linear in plane size, with bounded index
 arrays.
@@ -15,6 +16,7 @@ arrays.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,33 +72,37 @@ def discard(raw: ConvRawOutput) -> np.ndarray:
 
 def fop_from(result) -> Fop:
     """Canonical template-major power plane from any convolution result."""
-    if isinstance(result, Fop):
-        if result.channel_major:
-            return transpose(result)
-        return result
     if isinstance(result, ConvRawOutput):
         return power_plane(discard(result))
-    raise PrepError(f"cannot build a plane from {type(result).__name__}")
+    if not isinstance(result, Fop):
+        raise PrepError(f"cannot build a plane from {type(result).__name__}")
+    if result.channel_major:
+        raise PrepError("cannot build a plane from a channel-major Fop")
+    return result
 
 
 def transpose(fop: Fop) -> Fop:
-    """Swap the storage axes; bit-exact involution."""
-    return Fop(np.ascontiguousarray(fop.values.T),
-               channel_major=not fop.channel_major)
+    """Swap the storage axes; bit-exact involution. The values are the
+    checked source's, so the copy is not scanned again."""
+    out = copy.copy(fop)
+    out.values = np.ascontiguousarray(fop.values.T)
+    out.channel_major = not fop.channel_major
+    return out
 
 
 # --- reordered plane -------------------------------------------------------------
 
 def _section_geometry(cols: int, block_cols: int, n_hp: int, rows: int):
-    """Streaming layout ``(lo, width, off, max_needed)``: per (block, k - 1),
+    """Streaming layout ``(lo, width, off, block_len)``: per (block, k - 1),
     the section's first source column, column count and start in the block;
-    and the largest block's unpadded size."""
+    and the common block length, the largest block padded to a power of two."""
     c0 = np.arange(0, cols, block_cols, dtype=np.int64)[:, None]
     ks = np.arange(1, n_hp + 1)
     lo = c0 // ks
     width = (np.minimum(c0 + block_cols, cols) - 1) // ks - lo + 1
     size = rows * width
-    return lo, width, np.cumsum(size, axis=1) - size, int(size.sum(axis=1).max())
+    return (lo, width, np.cumsum(size, axis=1) - size,
+            next_pow2(int(size.sum(axis=1).max())))
 
 
 def _tile_cols(rows: int, group_cols: int) -> int:
@@ -170,9 +176,9 @@ def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
         raise PrepError("block_cols and n_hp must be >= 1")
     tm = fop.template_major()
     rows, cols = tm.shape
-    lo, width, off, needed = _section_geometry(cols, block_cols, n_hp, rows)
+    lo, width, off, block_len = _section_geometry(cols, block_cols, n_hp, rows)
     n_blocks = lo.shape[0]
-    blocks = np.zeros((n_blocks, next_pow2(needed)), dtype=np.float32)
+    blocks = np.zeros((n_blocks, block_len), dtype=np.float32)
     flat = blocks.reshape(-1)
     row_step = np.arange(rows)[:, None]
     step = _tile_cols(rows, block_cols) // block_cols
@@ -184,7 +190,7 @@ def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
             # every (block, section column) of the tile, block-major
             bi, j = np.nonzero(np.arange(w.max()) < w[:, None])
             b, w = b[bi], w[bi]
-            start = b * blocks.shape[1] + off[b, k - 1] + j
+            start = b * block_len + off[b, k - 1] + j
             flat[start + row_step * w] = tm[row_map, lo[b, k - 1] + j]
     return RFop(blocks=blocks, block_cols=block_cols, n_hp=n_hp,
                 n_rows=rows, n_chan=cols)
@@ -192,21 +198,14 @@ def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
 
 # --- combination matrix -----------------------------------------------------------
 
-def required_transforms(chunked: bool, hm_strategy) -> tuple[bool, bool, bool]:
-    """(discard, transpose, reorder) booleans for a kernel combination.
-
-    Chunked overlap-save output always needs the discard; the transpose and
-    reorder follow the input plane each harmonic method consumes. The one
-    asymmetry: the plane-at-a-time and naive multi-plane methods read the
-    raw-template orientation directly after a time-domain kernel, but the
-    chunked frequency path hands them a transposed plane.
-    """
-    needs_transpose = {"single": False, "naive-multi": chunked,
-                       "multi-n": True, "multi-r": True}
-    kind = getattr(hm_strategy, "kind", None)
-    if kind not in needs_transpose:
-        raise PrepError(f"unknown harmonic strategy {hm_strategy!r}")
-    return chunked, needs_transpose[kind], kind == "multi-r"
+# Per harmonic kind, whether it reads the transposed plane (after a
+# time-domain kernel, after chunked output). Chunked overlap-save output
+# always needs the discard, and only ``multi-r`` the reorder. The one
+# asymmetry: the naive multi-plane method reads the raw-template orientation
+# directly after a time-domain kernel, but the chunked frequency path hands it
+# a transposed plane.
+_TRANSPOSED = {"single": (False, False), "naive-multi": (False, True),
+               "multi-n": (True, True), "multi-r": (True, True)}
 
 
 @dataclass
@@ -226,14 +225,17 @@ class PrepResult:
 def prepare(result, hm_strategy, n_hp: int) -> PrepResult:
     """Apply exactly the transforms the combination needs, timing each one.
 
-    ``required_transforms`` derives them from the result's type (chunked
-    overlap-save output or a plane) and the harmonic strategy; their flags
-    and wall times become the preparation stage of the throughput model.
-    When no transform is needed the input plane passes through untouched and
-    the preparation cost is zero.
+    The result's type (chunked overlap-save output or a plane) and the
+    ``_TRANSPOSED`` row of the harmonic strategy's kind decide them; their
+    flags and wall times become the preparation stage of the throughput
+    model. When no transform is needed the input plane passes through
+    untouched and the preparation cost is zero.
     """
-    b1, b2, b3 = required_transforms(isinstance(result, ConvRawOutput),
-                                     hm_strategy)
+    kind = getattr(hm_strategy, "kind", None)
+    if kind not in _TRANSPOSED:
+        raise PrepError(f"unknown harmonic strategy {hm_strategy!r}")
+    b1 = isinstance(result, ConvRawOutput)
+    b2, b3 = _TRANSPOSED[kind][b1], kind == "multi-r"
     t_discard = t_transpose = t_reorder = 0.0
     t0 = time.perf_counter()
     fop = fop_from(result)

@@ -261,6 +261,24 @@ class TestExecute:
         execute(spec)
         assert alive_at_hm == [False]
 
+    @pytest.mark.parametrize("hm_kind", list(HM_KINDS))
+    @pytest.mark.parametrize("conv_kind", list(CONV_KINDS))
+    def test_threads_leave_plane_and_candidates_unchanged(self, conv_kind,
+                                                          hm_kind):
+        # criterion 11 for every combination, not only ols-fd + multi-r
+        outs = []
+        for threads in (1, 3):
+            spec = RunSpec(config=FdasConfig.desk_scale(**DESK),
+                           conv_kind=conv_kind,
+                           conv_param=256 if conv_kind == "ols-fd" else None,
+                           hm_kind=hm_kind, seed=7, threads=threads,
+                           injections=((800, 8, 10.0), (300, 4, 6.0)),
+                           noise_sigma=0.5)
+            fop, candidates, _, _ = execute(spec)
+            assert len(candidates) > 0
+            outs.append((fop.values.tobytes(), candidates.entries.tobytes()))
+        assert outs[0] == outs[1]
+
 
 class TestVerify:
     def test_passes_and_is_deterministic(self, capsys):
@@ -477,14 +495,13 @@ class TestRunSpecValidation:
     @pytest.mark.parametrize("command", ["gen", "run"])
     def test_non_finite_noise_or_amplitude_exits_2(self, tmp_path, capsys,
                                                    desk_config, command, flag):
+        # one check, in core.check_generation: no argparse usage text
         out = tmp_path / "out"
-        try:
-            code = run_cli(command, "--config", desk_config, "--out", str(out),
-                           *flag)
-        except SystemExit as exc:  # argparse rejects a bad --inject value
-            code = exc.code
-        assert code == 2
-        assert "must be finite" in capsys.readouterr().err
+        assert run_cli(command, "--config", desk_config, "--out", str(out),
+                       *flag) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite" in err and "usage:" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [

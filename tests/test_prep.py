@@ -14,7 +14,7 @@ from fdas.harmonic import (HM_KINDS, MultipleHpN, MultipleHpR, NaiveMultipleHp,
                            SingleHp, ThresholdTable, harmonic_sum,
                            harmonic_sum_naive, stretch_lookup)
 from fdas.prep import (TILE_POINTS, PrepError, RFop, discard, fop_from,
-                       prepare, reorder, required_transforms, transpose)
+                       prepare, reorder, transpose)
 
 from conftest import random_plane, random_series, random_taps, rel_err
 
@@ -95,6 +95,13 @@ class TestFopFrom:
         _, raw = fir_ols_fd(x, h, 256)
         fop = fop_from(raw)
         assert rel_err(fop.values[0], power_spectrum(fir_naive_td(x, h))) < 1e-4
+
+    def test_channel_major_plane_is_rejected(self, rng):
+        # no convolution hands over a transposed plane; prepare makes them
+        fop = transpose(Fop(random_plane(rng, 3, 8)))
+        for call in (fop_from, lambda f: prepare(f, SingleHp(), n_hp=2)):
+            with pytest.raises(PrepError, match="channel-major"):
+                call(fop)
 
 
 def brute_force_block_points(tm, block, block_cols, n_hp):
@@ -202,8 +209,14 @@ class TestCombinationMatrix:
         (True, MultipleHpN(1), (True, True, False)),
         (True, MultipleHpR(16, 4), (True, True, True)),
     ], ids=lambda v: getattr(v, "kind", None))
-    def test_table_over_chunked_and_kind(self, chunked, hm_s, expected):
-        assert required_transforms(chunked, hm_s) == expected
+    def test_table_over_chunked_and_kind(self, rng, chunked, hm_s, expected):
+        if chunked:
+            chunks = random_series(rng, 3 * 2 * 8).reshape(3, 2, 8)
+            result = ConvRawOutput(chunks, overlap=3, n_cols=10)
+        else:
+            result = Fop(random_plane(rng, 3, 10))
+        pr = prepare(result, hm_s, n_hp=2)
+        assert (pr.b_discard, pr.b_transpose, pr.b_reorder) == expected
 
     @pytest.mark.parametrize("conv_s,hm_s,expected", [
         (OlaTd(128), SingleHp(), (False, False, False)),
@@ -222,18 +235,17 @@ class TestCombinationMatrix:
         # the convolution result's type alone says which transforms fire
         bank = FilterBank([random_taps(rng, 20) for _ in range(3)])
         result, _ = convolve_bank(random_series(rng, 4096), bank, conv_s)
-        chunked = isinstance(result, ConvRawOutput)
-        assert required_transforms(chunked, hm_s) == expected
+        assert isinstance(result, ConvRawOutput) == expected[0]
         pr = prepare(result, hm_s, n_hp=2)
         assert (pr.b_discard, pr.b_transpose, pr.b_reorder) == expected
 
-    def test_unknown_strategy(self):
-        with pytest.raises(PrepError):
-            required_transforms(False, object())
+    def test_unknown_strategy(self, rng):
+        with pytest.raises(PrepError, match="unknown harmonic strategy"):
+            prepare(Fop(random_plane(rng, 3, 8)), object(), n_hp=2)
 
     def test_every_registered_pair_runs(self):
         # each strategy at its defaults: one registered without a
-        # convolve_bank branch or a required_transforms row fails here
+        # convolve_bank branch or a row of prepare's table fails here
         cfg = FdasConfig.desk_scale(n_chan=256, n_temp=3, n_hp=2, n_cand=4)
         x = generate_input(cfg, [(200, 2, 10.0)], 0.5, seed=1)
         bank = synthetic_bank(cfg, seed=1)
