@@ -37,7 +37,7 @@ class InputError(FdasError):
 
 
 def is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+    return is_int(n) and n >= 1 and (n & (n - 1)) == 0
 
 
 def is_finite_number(value) -> bool:

@@ -21,11 +21,12 @@ so the one final sort sees at most n_tiles x n_hp x n_cand points plus ties.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FdasConfig, FdasError, Fop, signed_range, storage_row
+from .core import FdasConfig, FdasError, Fop, is_int, signed_range, storage_row
 from .prep import (TILE_POINTS, RFop, _section_geometry, _tile_cols,
                    stretch_rows)
 
@@ -50,6 +51,13 @@ class NaiveMultipleHp:
     kind = "naive-multi"
 
 
+def _check_count(name: str, value) -> None:
+    if not is_int(value):
+        raise HarmonicError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise HarmonicError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class MultipleHpN:
     """Loads the distinct source points needed per column group, then sums."""
@@ -58,9 +66,7 @@ class MultipleHpN:
     kind = "multi-n"
 
     def __post_init__(self):
-        if self.cols_per_group < 1:
-            raise HarmonicError(
-                f"cols_per_group must be >= 1, got {self.cols_per_group}")
+        _check_count("cols_per_group", self.cols_per_group)
 
 
 @dataclass(frozen=True)
@@ -72,12 +78,8 @@ class MultipleHpR:
     kind = "multi-r"
 
     def __post_init__(self):
-        if self.cols_per_group < 1:
-            raise HarmonicError(
-                f"cols_per_group must be >= 1, got {self.cols_per_group}")
-        if self.points_per_item < 1:
-            raise HarmonicError(
-                f"points_per_item must be >= 1, got {self.points_per_item}")
+        _check_count("cols_per_group", self.cols_per_group)
+        _check_count("points_per_item", self.points_per_item)
 
 
 HM_KINDS = {"single": SingleHp, "naive-multi": NaiveMultipleHp,
@@ -342,20 +344,25 @@ def access_counts(strategy, rows: int, cols: int, n_hp: int) -> tuple[int, int]:
 
     ``single`` and ``naive-multi`` read the whole plane per harmonic, and
     ``single`` writes each harmonic plane it builds. ``multi-n`` loads each
-    column group's distinct stretched rows per harmonic. ``multi-r`` streams
-    whole padded blocks: ``reorder(...).blocks.size`` points.
+    column group's distinct stretched rows per harmonic k: over groups of g
+    columns, ceil(cols/g) + ceil(cols/k) - ceil(cols/lcm(g, k)) source
+    columns, one per group plus one per multiple of k inside a group that
+    does not start it. ``multi-r`` streams whole padded blocks:
+    ``reorder(...).blocks.size`` points.
     """
     if isinstance(strategy, (SingleHp, NaiveMultipleHp)):
         read = n_hp * rows * cols
         return read, read if isinstance(strategy, SingleHp) else 0
-    if not isinstance(strategy, (MultipleHpN, MultipleHpR)):
-        raise HarmonicError(f"unknown harmonic strategy {strategy!r}")
-    _, width, _, block_len = _section_geometry(cols, strategy.cols_per_group,
-                                               n_hp, rows)
     if isinstance(strategy, MultipleHpR):
-        return width.shape[0] * block_len, 0
-    distinct = [np.unique(stretch_rows(rows, k)).size for k in range(1, n_hp + 1)]
-    return int(width.sum(axis=0) @ distinct), 0
+        lo, _, _, block_len = _section_geometry(cols, strategy.cols_per_group,
+                                                n_hp, rows)
+        return lo.shape[0] * block_len, 0
+    if not isinstance(strategy, MultipleHpN):
+        raise HarmonicError(f"unknown harmonic strategy {strategy!r}")
+    g = strategy.cols_per_group
+    return sum(np.unique(stretch_rows(rows, k)).size
+               * (-(-cols // g) - (-cols // k) + (-cols // math.lcm(g, k)))
+               for k in range(1, n_hp + 1)), 0
 
 
 def harmonic_sum(plane, thresholds: ThresholdTable,
@@ -374,13 +381,7 @@ def harmonic_sum(plane, thresholds: ThresholdTable,
         if plane.n_hp != n_hp:
             raise HarmonicError(
                 f"reordered plane carries {plane.n_hp} harmonics, config wants {n_hp}")
-        rows, cols = plane.n_rows, plane.n_chan
-
-        # one output column in the tile per source column; each is looked up
-        # through the block that holds it, so a tile may split a block
-        def read(k, c0, c1):
-            src = np.arange(c0 // k, (c1 - 1) // k + 1) * k
-            return plane.stretched(k, np.maximum(c0, src)).T
+        rows, cols, read = plane.n_rows, plane.n_chan, plane.source
     elif isinstance(plane, Fop):
         tm = plane.template_major()
         rows, cols = tm.shape

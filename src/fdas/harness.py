@@ -21,7 +21,7 @@ from . import harmonic as hm
 from . import pipeline as pl
 from . import prep
 from .core import (FdasConfig, FdasError, Fop, check_generation,
-                   generate_input, next_pow2, save_fop, synthetic_bank)
+                   generate_input, is_int, next_pow2, save_fop, synthetic_bank)
 
 
 class SpecError(FdasError):
@@ -29,6 +29,8 @@ class SpecError(FdasError):
 
 
 def check_seed(seed: int) -> None:
+    if not is_int(seed):
+        raise SpecError(f"seed must be an integer, got {seed!r}")
     if seed < 0:  # numpy's generators take only seeds >= 0
         raise SpecError(f"seed must be >= 0, got {seed}")
 
@@ -81,6 +83,8 @@ class RunSpec:
     def __post_init__(self):
         for name in ("n_devices", "threads", "filters_per_launch", "n_templates"):
             value = getattr(self, name)  # n_templates None: from the config
+            if value is not None and not is_int(value):
+                raise SpecError(f"{name} must be an integer, got {value!r}")
             if value is not None and value < 1:
                 raise SpecError(f"{name} must be >= 1")
         check_generation(self.config.n_chan, self.injections, self.noise_sigma)
@@ -210,17 +214,18 @@ def verification_checks(scale: int = 2 ** 10, seed: int = 0,
     bank = synthetic_bank(cfg, seed=seed)
     results: list = []
 
+    # every registered strategy is checked, with these parameters if it takes any
+    params = {"ola-td": (8,), "ols-fd": (next_pow2(2 * bank.max_taps),),
+              "multi-n": (2,), "multi-r": (16, 4)}
+
+    def strategy(kinds: dict, stage: str, name: str):
+        return _make_strategy(kinds, stage, name, *params.get(name, ()))
+
     # pairwise convolution equivalence
-    strategies = {
-        "naive-td": conv.NaiveTd(),
-        "ola-td": conv.OlaTd(8),
-        "naive-fd": conv.NaiveFd(),
-        "ols-fd": conv.OlsFd(next_pow2(2 * bank.max_taps)),
-    }
     fops = {}
-    for name, strat in strategies.items():
-        result, _ = conv.convolve_bank(series, bank, strat)
-        fops[name] = prep.fop_from(result)
+    for name in conv.CONV_KINDS:
+        strat = strategy(conv.CONV_KINDS, "convolution", name)
+        fops[name] = prep.fop_from(conv.convolve_bank(series, bank, strat)[0])
     names = list(fops)
     for a_idx in range(len(names)):
         for b_idx in range(a_idx + 1, len(names)):
@@ -250,14 +255,8 @@ def verification_checks(scale: int = 2 ** 10, seed: int = 0,
     thresholds = hm.ThresholdTable.from_plane(reference_fop, cfg.n_hp,
                                               sigma_factor=2.0)
     _, reference = hm.harmonic_sum_naive(reference_fop, thresholds, cfg)
-    hm_strategies = {
-        "single": hm.SingleHp(),
-        "naive-multi": hm.NaiveMultipleHp(),
-        "multi-n": hm.MultipleHpN(2),
-        "multi-r": hm.MultipleHpR(16, 4),
-    }
-    planes = {name: prep.prepare(fop, strat, cfg.n_hp).plane
-              for name, strat in hm_strategies.items()}
+    planes = {name: prep.prepare(fop, strategy(hm.HM_KINDS, "harmonic", name),
+                                 cfg.n_hp).plane for name in hm.HM_KINDS}
     for name, plane in planes.items():
         cands = hm.harmonic_sum(plane, thresholds, cfg)
         ok = cands.same_as(reference)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -93,16 +92,18 @@ def transpose(fop: Fop) -> Fop:
 # --- reordered plane -------------------------------------------------------------
 
 def _section_geometry(cols: int, block_cols: int, n_hp: int, rows: int):
-    """Streaming layout ``(lo, width, off, block_len)``: per (block, k - 1),
-    the section's first source column, column count and start in the block;
+    """Streaming layout ``(lo, width, base, block_len)``: per (block, k - 1),
+    the section's first source column, column count, and base, the flat
+    address of (template row r, source column s) being base + s + r * width;
     and the common block length, the largest block padded to a power of two."""
     c0 = np.arange(0, cols, block_cols, dtype=np.int64)[:, None]
     ks = np.arange(1, n_hp + 1)
     lo = c0 // ks
     width = (np.minimum(c0 + block_cols, cols) - 1) // ks - lo + 1
     size = rows * width
-    return (lo, width, np.cumsum(size, axis=1) - size,
-            next_pow2(int(size.sum(axis=1).max())))
+    block_len = next_pow2(int(size.sum(axis=1).max()))
+    base = c0 // block_cols * block_len + np.cumsum(size, axis=1) - size - lo
+    return lo, width, base, block_len
 
 
 def _tile_cols(rows: int, group_cols: int) -> int:
@@ -120,7 +121,7 @@ class RFop:
     every source point those output columns need, rows stretched per template
     (duplicates included), columns covering floor(c0/k)..floor((c1-1)/k).
     Blocks are padded with zeros to one common power-of-two length. The
-    layout lives in memory only; ``reorder`` builds it.
+    layout lives in memory only; ``reorder`` builds it and its ``geometry``.
     """
 
     blocks: np.ndarray  # (n_blocks, block_len) float32
@@ -128,6 +129,7 @@ class RFop:
     n_hp: int
     n_rows: int
     n_chan: int
+    geometry: tuple  # (lo, width, base, block_len) of _section_geometry
 
     @property
     def n_blocks(self) -> int:
@@ -136,12 +138,6 @@ class RFop:
     @property
     def block_len(self) -> int:
         return self.blocks.shape[1]
-
-    @cached_property
-    def geometry(self):
-        """``_section_geometry`` of this plane."""
-        return _section_geometry(self.n_chan, self.block_cols, self.n_hp,
-                                 self.n_rows)
 
     def lookup(self, k: int, i: int, j: int) -> np.float32:
         """Stretched source value for harmonic k at (signed template i, col j).
@@ -153,16 +149,17 @@ class RFop:
             raise PrepError(f"harmonic {k} out of range [1, {self.n_hp}]")
         if not 0 <= j < self.n_chan:
             raise PrepError(f"channel {j} out of range [0, {self.n_chan})")
-        return self.stretched(k, np.array([j]))[storage_row(i, self.n_rows), 0]
+        return self.source(k, j, j + 1)[0, storage_row(i, self.n_rows)]
 
-    def stretched(self, k: int, cols: np.ndarray) -> np.ndarray:
-        """Harmonic k's stretched source (template row x column) for output
-        columns ``cols``, gathered straight from the flat blocks."""
-        lo, width, off, _ = self.geometry
-        b = cols // self.block_cols
-        start = b * self.block_len + off[b, k - 1] + cols // k - lo[b, k - 1]
-        rows = np.arange(self.n_rows)[:, None]
-        return self.blocks.reshape(-1)[start + rows * width[b, k - 1]]
+    def source(self, k: int, c0: int, c1: int) -> np.ndarray:
+        """Harmonic k's source for output columns [c0, c1): one row per
+        source column c0 // k .. (c1 - 1) // k, template rows stretched, each
+        from the block of the first output column in [c0, c1) that reads it."""
+        _, width, base, _ = self.geometry
+        src = np.arange(c0 // k, (c1 - 1) // k + 1)
+        b = np.maximum(c0, src * k) // self.block_cols
+        row_step = np.arange(self.n_rows) * width[b, k - 1][:, None]
+        return self.blocks.reshape(-1)[(base[b, k - 1] + src)[:, None] + row_step]
 
 
 def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
@@ -176,7 +173,7 @@ def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
         raise PrepError("block_cols and n_hp must be >= 1")
     tm = fop.template_major()
     rows, cols = tm.shape
-    lo, width, off, block_len = _section_geometry(cols, block_cols, n_hp, rows)
+    lo, width, base, block_len = _section_geometry(cols, block_cols, n_hp, rows)
     n_blocks = lo.shape[0]
     blocks = np.zeros((n_blocks, block_len), dtype=np.float32)
     flat = blocks.reshape(-1)
@@ -190,10 +187,10 @@ def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
             # every (block, section column) of the tile, block-major
             bi, j = np.nonzero(np.arange(w.max()) < w[:, None])
             b, w = b[bi], w[bi]
-            start = b * block_len + off[b, k - 1] + j
-            flat[start + row_step * w] = tm[row_map, lo[b, k - 1] + j]
-    return RFop(blocks=blocks, block_cols=block_cols, n_hp=n_hp,
-                n_rows=rows, n_chan=cols)
+            src = lo[b, k - 1] + j
+            flat[base[b, k - 1] + src + row_step * w] = tm[row_map, src]
+    return RFop(blocks=blocks, block_cols=block_cols, n_hp=n_hp, n_rows=rows,
+                n_chan=cols, geometry=(lo, width, base, block_len))
 
 
 # --- combination matrix -----------------------------------------------------------

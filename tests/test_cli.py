@@ -20,8 +20,8 @@ from fdas.cli import build_parser, main
 from fdas.convolution import CONV_KINDS
 from fdas.core import FdasConfig, InputError, load_fop, save_config
 from fdas.harmonic import HM_KINDS, CandidateList
-from fdas.harness import (RunSpec, SpecError, execute, measure_sweep,
-                          verification_checks)
+from fdas.harness import (VERIFY_TEMPLATES, RunSpec, SpecError, execute,
+                          measure_sweep, verification_checks)
 from fdas.pipeline import PipelinePlan, StageTiming
 
 DESK = dict(n_chan=1024, n_temp=5, n_tap=17, n_cand=16)
@@ -287,6 +287,22 @@ class TestVerify:
         assert run_cli("verify", "--scale", "1024") == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("scale", sorted(VERIFY_TEMPLATES))
+    def test_every_check_passes_at_every_scale(self, scale):
+        checks = verification_checks(scale)
+        assert [c.name for c in checks] == [c.name for c in verification_checks()]
+        assert all(c.passed for c in checks), [c.name for c in checks
+                                               if not c.passed]
+
+    def test_checks_every_registered_strategy(self, monkeypatch):
+        # a kind added to a registry is verified with no other edit
+        monkeypatch.setitem(CONV_KINDS, "naive-td-2", convolution.NaiveTd)
+        monkeypatch.setitem(HM_KINDS, "single-2", harmonic.SingleHp)
+        checks = {c.name: c.passed for c in verification_checks()}
+        assert checks["convolution ols-fd vs naive-td-2"]
+        assert checks["harmonic single-2 vs reference"]
+        assert len(checks) == 12 + 4 + 1
+
     def test_bad_scale_exits_2(self):
         assert run_cli("verify", "--scale", "1000") == 2
 
@@ -462,7 +478,23 @@ class TestRunSpecValidation:
 
     @pytest.mark.parametrize("fields,message", [
         (dict(conv_kind="bogus"), "unknown convolution strategy"),
-        (dict(seed=-1), "seed must be >= 0")], ids=["bogus-conv", "negative-seed"])
+        (dict(seed=-1), "seed must be >= 0"),
+        # counts that are not integers: each would build and run, or fail
+        # deep in execute with a TypeError
+        (dict(threads=1.5), "threads must be an integer, got 1.5"),
+        (dict(threads=True), "threads must be an integer, got True"),
+        (dict(n_devices=1.5), "n_devices must be an integer"),
+        (dict(n_templates=True), "n_templates must be an integer"),
+        (dict(hm_kind="multi-n", hm_cols=2.0), "cols_per_group must be an integer"),
+        (dict(n_templates=2.5), "n_templates must be an integer"),
+        (dict(filters_per_launch=1.5), "filters_per_launch must be an integer"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(conv_param=1024.0), "chunk must be a power of two, got 1024.0"),
+        (dict(hm_kind="multi-r", hm_ppi=4.0), "points_per_item must be an integer")],
+        ids=["bogus-conv", "negative-seed", "threads-float", "threads-bool",
+             "devices-float", "templates-bool", "hm-cols-float",
+             "templates-float", "filters-float", "seed-float",
+             "conv-param-float", "hm-ppi-float"])
     def test_built_spec_is_valid(self, fields, message):
         with pytest.raises(SpecError, match=message):
             RunSpec(config=FdasConfig.desk_scale(), **fields)

@@ -2,6 +2,7 @@
 optimised traversals."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,35 @@ class TestStrategies:
             assert access_counts(strategy, 9, 64, 8) == counts, strategy.kind
         with pytest.raises(HarmonicError):
             access_counts(object(), 9, 64, 8)
+
+    def test_access_counts_at_full_scale(self):
+        # 2^21 channels x 85 templates x 8 harmonics; multi-n counts from a
+        # formula per harmonic and builds no reordered layout (544 MiB)
+        access_counts(MultipleHpN(2), 9, 64, 8)  # numpy's lazy imports first
+        for strategy, read in [(MultipleHpN(1), 490_733_568),
+                               (MultipleHpN(16), 280_868_582)]:
+            tracemalloc.start()
+            try:
+                assert access_counts(strategy, 85, 2 ** 21, 8) == (read, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 ** 20, strategy
+        assert access_counts(MultipleHpR(16), 85, 2 ** 21, 8) == (536_870_912, 0)
+
+    def test_reordered_plane_geometry_is_built_once(self, rng, monkeypatch):
+        # reorder builds the layout; harmonic_sum reads the plane's own copy
+        calls = []
+        section_geometry = prep._section_geometry
+        monkeypatch.setattr(prep, "_section_geometry",
+                            lambda *args: calls.append(args)
+                            or section_geometry(*args))
+        cfg = cfg_for(9, 256)
+        fop = Fop(random_plane(rng, 9, 256))
+        table = ThresholdTable.from_plane(fop, cfg.n_hp, sigma_factor=1.0)
+        _, ref = harmonic_sum_naive(fop, table, cfg)
+        assert harmonic_sum(reorder(fop, 16, cfg.n_hp), table, cfg).same_as(ref)
+        assert len(calls) == 1
 
     def test_elapsed_spans_candidate_selection(self, monkeypatch):
         # execute's t_hm is the stage's one clock; selection falls inside it

@@ -342,6 +342,8 @@ class TestMultiDevicePeriod:
             multi_device_period(st, 0, "multi-input")
         with pytest.raises(ModelError):
             multi_device_period(st, 2, "sideways")
+        with pytest.raises(ModelError, match="needs a DeviceModel"):
+            multi_device_period(st, 2, "multi-config", plane_bytes=1e6)
 
 
 class TestPlanPipeline:
@@ -364,6 +366,19 @@ class TestPlanPipeline:
         dev = DeviceModel.nominal()  # reconfig takes ~1 s
         plan = plan_pipeline(st, dev, plane_bytes=1.0, t_limit=0.1)
         assert any("reconfig" in n for n in plan.notes)
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(buffering=4), "buffering must be 1, 2 or 3, got 4"),
+        (dict(n_devices=0), "n_devices must be >= 1"),
+        (dict(scheme="ring"), "scheme must be one of")],
+        ids=["buffering-4", "no-devices", "unknown-scheme"])
+    def test_record_checks(self, fields, message):
+        record = dict(buffering=2, n_devices=1, scheme="multi-input",
+                      period=5.0, t_fdas=10.0, period_contended=5.0,
+                      period_multidevice={})
+        PipelinePlan(**record)  # the record is valid but for each field
+        with pytest.raises(ModelError, match=message):
+            PipelinePlan(**(record | fields))
 
     def test_plan_invariant(self):
         with pytest.raises(ModelError):

@@ -14,7 +14,7 @@ from fdas.harmonic import (HM_KINDS, MultipleHpN, MultipleHpR, NaiveMultipleHp,
                            SingleHp, ThresholdTable, harmonic_sum,
                            harmonic_sum_naive, stretch_lookup)
 from fdas.prep import (TILE_POINTS, PrepError, RFop, discard, fop_from,
-                       prepare, reorder, transpose)
+                       prepare, reorder, stretch_rows, transpose)
 
 from conftest import random_plane, random_series, random_taps, rel_err
 
@@ -165,6 +165,17 @@ class TestReorder:
             for i in range(-2, 3):
                 for j in range(16):
                     assert rfop.lookup(k, i, j) == stretch_lookup(fop, k, i, j)
+
+    @pytest.mark.parametrize("block_cols", [1, 3, 16])
+    def test_source_is_the_stretched_source_columns(self, rng, block_cols):
+        # output ranges that split blocks, span several, or hold one column
+        fop = Fop(random_plane(rng, 7, 100))
+        rfop = reorder(fop, block_cols, 5)
+        tm = fop.template_major()
+        for k in range(1, 6):
+            for c0, c1 in [(0, 100), (5, 6), (7, 41), (33, 97), (99, 100)]:
+                expected = tm[stretch_rows(7, k), c0 // k:(c1 - 1) // k + 1]
+                assert np.array_equal(rfop.source(k, c0, c1), expected.T)
 
     def test_size_monotone_in_harmonics(self, rng):
         fop = Fop(random_plane(rng, 5, 64))
