@@ -73,10 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--hm", choices=harness.ALL_HM, default="naive-multi")
     p_run.add_argument("--hm-cols", type=int, default=None, metavar="N",
                        help="columns per work group (multi-n, multi-r)")
-    p_run.add_argument("--hm-ppi", type=int, default=None, metavar="N",
-                       help="points per work item (multi-r)")
     p_run.add_argument("--devices", type=int, default=1)
-    p_run.add_argument("--scheme", choices=pl.SCHEMES, default="multi-input")
     p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--threshold", type=float, default=None,
                        help="constant detection threshold (default: from plane)")
@@ -121,9 +118,8 @@ def cmd_run(args) -> int:
     cfg = _load_cfg(args)
     spec = harness.RunSpec(
         config=cfg, conv_kind=args.conv, conv_param=args.conv_param,
-        hm_kind=args.hm, hm_cols=args.hm_cols, hm_ppi=args.hm_ppi,
-        n_devices=args.devices, scheme=args.scheme, seed=args.seed,
-        threads=args.threads,
+        hm_kind=args.hm, hm_cols=args.hm_cols, n_devices=args.devices,
+        seed=args.seed, threads=args.threads,
         filters_per_launch=args.filters_per_launch, threshold=args.threshold,
         injections=tuple(args.inject), noise_sigma=args.noise,
         n_templates=args.templates)

@@ -71,9 +71,6 @@ class FdasConfig:
     channel count, chunk sizes larger than the filter overlap).
     """
 
-    n_beams: int = 2000
-    n_dm_trial: int = 6000
-    t_obs: float = 540.0
     n_temp: int = 85
     n_chan: int = 2 ** 21
     n_tap: int = 421
@@ -82,14 +79,14 @@ class FdasConfig:
     t_limit: float | None = None
 
     def __post_init__(self):
-        for f in fields(self):  # every int is a count >= 1, every number > 0
+        for f in fields(self):  # every int is a count >= 1, t_limit None or > 0
             value = getattr(self, f.name)
             if f.type == "int":
                 if not is_int(value):
                     raise ConfigError(f"{f.name}: expected an integer, got {value!r}")
                 if value < 1:
                     raise ConfigError(f"{f.name}: must be >= 1, got {value}")
-            elif value is not None or not f.type.endswith("| None"):
+            elif value is not None:
                 if not is_finite_number(value):
                     raise ConfigError(f"{f.name}: expected a number, got {value!r}")
                 if value <= 0:

@@ -152,8 +152,11 @@ def execute(spec: RunSpec):
         thresholds = hm.ThresholdTable.from_plane(pr.fop, cfg.n_hp)
     candidates = hm.harmonic_sum(pr.plane, thresholds, cfg)
     st.t_hm = time.perf_counter() - t0
-    st.points_read, st.plane_writes = hm.access_counts(
-        hm_s, *pr.fop.template_major().shape, cfg.n_hp)
+    if pr.b_reorder:  # multi-r streams the whole padded blocks it was given
+        st.points_read, st.plane_writes = pr.plane.blocks.size, 0
+    else:
+        st.points_read, st.plane_writes = hm.access_counts(
+            hm_s, *pr.fop.template_major().shape, cfg.n_hp)
     rfop_bytes = pr.plane.blocks.nbytes if pr.b_reorder else 0
     attach_demands(st, series.nbytes, pr.fop.nbytes, raw_bytes, rfop_bytes)
     return pr.fop, candidates, st, pr.plane

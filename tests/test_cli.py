@@ -60,6 +60,16 @@ class TestGen:
                        "--out", str(tmp_path / "g")) == 0
         assert (tmp_path / "g" / "input.npy").exists()
 
+    def test_run_reads_the_config_gen_wrote(self, tmp_path, desk_config):
+        gen_out, run_out = tmp_path / "g", tmp_path / "r"
+        assert run_cli("gen", "--config", desk_config, "--out", str(gen_out)) == 0
+        written = json.loads((gen_out / "config.json").read_text())
+        assert list(written) == [f.name for f in fields(FdasConfig)]
+        assert run_cli("run", "--config", str(gen_out / "config.json"),
+                       "--out", str(run_out)) == 0
+        assert sorted(p.name for p in run_out.iterdir()) == [
+            "candidates.csv", "fop.fop", "plan.json", "timing.json"]
+
 
 class TestRun:
     def test_artifacts_round_trip(self, tmp_path, desk_config):
@@ -113,7 +123,7 @@ class TestRun:
     @pytest.mark.parametrize("flags", [("--conv", "ola-td", "--conv-param", "0"),
                                        ("--hm", "multi-r", "--hm-cols", "0"),
                                        ("--conv", "naive-td", "--conv-param", "7"),
-                                       ("--hm", "naive-multi", "--hm-ppi", "0"),
+                                       ("--devices", "0"),
                                        ("--hm", "single", "--hm-cols", "4"),
                                        ("--filters-per-launch", "0"),
                                        ("--templates", "0"),
@@ -133,7 +143,7 @@ class TestRun:
         assert rc == 2
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("text", ['{"t_obs": null}', '{"n_chan": 1024.0}'],
+    @pytest.mark.parametrize("text", ['{"n_chan": null}', '{"n_chan": 1024.0}'],
                              ids=["null-number", "float-integer"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.json"
@@ -177,9 +187,9 @@ class TestRun:
     def test_plan_carries_device_assignment(self, tmp_path, desk_config):
         out = tmp_path / "plan"
         assert run_cli("run", "--config", desk_config, "--out", str(out),
-                       "--devices", "3", "--scheme", "single-input") == 0
+                       "--devices", "3") == 0
         plan = json.loads((out / "plan.json").read_text())
-        assert plan["n_devices"] == 3 and plan["scheme"] == "single-input"
+        assert plan["n_devices"] == 3
         assert set(plan["period_multidevice"]) == {"single-input", "multi-input",
                                                    "multi-config"}
         assert plan["period_contended"] >= plan["period"] - 1e-12
@@ -195,17 +205,21 @@ class TestRun:
         assert any("reconfig" in note for note in plan["notes"])
 
     def test_unknown_flag_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("run", "--frobnicate")
-        assert exc.value.code == 2
+        # the retired --hm-ppi and --scheme are refused like a misspelt flag
+        for flags in (["--frobnicate"], ["--hm-ppi", "4"],
+                      ["--scheme", "multi-input"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("run", *flags)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flags)}" in \
+                capsys.readouterr().err
 
     def test_help_lists_documented_flags(self, capsys):
         with pytest.raises(SystemExit):
             run_cli("run", "--help")
         text = capsys.readouterr().out
         for flag in ("--config", "--conv", "--conv-param", "--hm", "--hm-cols",
-                     "--hm-ppi", "--devices", "--scheme", "--seed", "--threads",
-                     "--out"):
+                     "--devices", "--seed", "--threads", "--out"):
             assert flag in text
 
 
@@ -278,6 +292,50 @@ class TestExecute:
             assert len(candidates) > 0
             outs.append((fop.values.tobytes(), candidates.entries.tobytes()))
         assert outs[0] == outs[1]
+
+    def test_seeded_config_space_fuzz(self):
+        # every desk-scale config the spec accepts runs and matches the brute
+        # force on its own plane; the one refusal is the overlap-save chunk rule
+        rng = np.random.default_rng(2601)
+        found = refused = 0
+        for seed in range(200):
+            n_chan = 1 << int(rng.integers(0, 11))
+            cfg = FdasConfig.desk_scale(
+                n_chan=n_chan, n_temp=2 * int(rng.integers(0, 8)) + 1,
+                n_tap=int(rng.integers(1, 2 * n_chan + 41)),
+                n_hp=int(rng.integers(1, 20)), n_cand=int(rng.integers(1, 40)))
+            conv_kind = str(rng.choice(list(CONV_KINDS)))
+            hm_kind = str(rng.choice(list(HM_KINDS)))
+            conv_param = {"ola-td": 1 << int(rng.integers(0, 9)),
+                          "ols-fd": 1 << int(rng.integers(1, 13))}.get(conv_kind)
+            hm_cols = (int(rng.integers(1, 21))
+                       if hm_kind in ("multi-n", "multi-r") else None)
+            tone = (((int(rng.integers(0, n_chan)), int(rng.integers(1, 9)),
+                      float(rng.uniform(1, 20))),) if rng.random() < 0.5 else ())
+            threshold = float(rng.uniform(0.05, 5)) if rng.random() < 0.5 else None
+            try:
+                spec = RunSpec(config=cfg, conv_kind=conv_kind,
+                               conv_param=conv_param, hm_kind=hm_kind,
+                               hm_cols=hm_cols, seed=seed,
+                               threads=int(rng.integers(1, 4)),
+                               filters_per_launch=int(rng.integers(1, 4)),
+                               threshold=threshold, injections=tone,
+                               noise_sigma=float(rng.choice([0.0, 0.5])))
+            except SpecError as exc:
+                assert "must exceed n_tap-1" in str(exc), exc
+                refused += 1
+                continue
+            fop, candidates, _, _ = execute(spec)
+            if threshold is None:
+                table = harmonic.ThresholdTable.from_plane(fop, cfg.n_hp)
+            else:
+                table = harmonic.ThresholdTable.constant(threshold, cfg.n_hp,
+                                                         fop.n_templates)
+            _, reference = harmonic.harmonic_sum_naive(fop, table, cfg)
+            assert candidates.same_as(reference), spec
+            found += len(candidates) > 0
+        # both outcomes are drawn often, and most runs find candidates
+        assert 0 < refused < 50 and found > 100
 
 
 class TestVerify:

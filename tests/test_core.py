@@ -16,9 +16,6 @@ from fdas.core import (ConfigError, FdasConfig, FdasError, FilterBank, Fop,
 class TestConfig:
     def test_defaults_match_requirements_table(self):
         cfg = FdasConfig()
-        assert cfg.n_beams == 2000
-        assert cfg.n_dm_trial == 6000
-        assert cfg.t_obs == 540.0
         assert cfg.n_temp == 85
         assert cfg.n_chan == 2 ** 21
         assert cfg.n_tap == 421
@@ -47,10 +44,12 @@ class TestConfig:
         assert load_config(path) == cfg
 
     def test_unknown_field_named(self, tmp_path):
+        # a retired key such as n_beams is refused like a misspelt one
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n_taps": 10}))
-        with pytest.raises(ConfigError, match="n_taps"):
-            load_config(path)
+        for key, value in (("n_taps", 10), ("n_beams", 2000)):
+            path.write_text(json.dumps({key: value}))
+            with pytest.raises(ConfigError, match=f"^{key}: unknown config field$"):
+                load_config(path)
 
     def test_wrong_type_named(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -58,8 +57,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_temp"):
             load_config(path)
 
-    @pytest.mark.parametrize("raw", [{"t_limit": True}, {"t_obs": False}],
-                             ids=["t_limit-true", "t_obs-false"])
+    @pytest.mark.parametrize("raw", [{"t_limit": True}, {"t_limit": False}],
+                             ids=["t_limit-true", "t_limit-false"])
     def test_boolean_for_float_field_named(self, tmp_path, raw):
         # JSON booleans are ints to Python; a float field rejects them as an
         # integer field does, naming the field and the type
@@ -69,10 +68,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key}: expected a number"):
             load_config(path)
 
-    @pytest.mark.parametrize("text", ['{"t_obs": null}', '{"t_obs": NaN}',
-                                      '{"t_limit": Infinity}', '{"t_obs": 1e400}'],
-                             ids=["t_obs-null", "t_obs-nan", "t_limit-inf",
-                                  "t_obs-1e400"])
+    @pytest.mark.parametrize("text", ['{"t_limit": NaN}', '{"t_limit": Infinity}',
+                                      '{"t_limit": 1e400}'],
+                             ids=["t_limit-nan", "t_limit-inf", "t_limit-1e400"])
     def test_null_or_non_finite_number_named(self, tmp_path, text):
         # Python's json reads NaN, Infinity and 1e400 as floats
         path = tmp_path / "cfg.json"
@@ -87,8 +85,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_hp: expected an integer"):
             FdasConfig(n_hp=True)
         # numpy scalars are numbers like any other
-        cfg = FdasConfig(n_chan=np.int64(1024), t_obs=np.float32(1.5))
-        assert cfg.n_chan == 1024 and cfg.t_obs == 1.5
+        cfg = FdasConfig(n_chan=np.int64(1024), t_limit=np.float32(1.5))
+        assert cfg.n_chan == 1024 and cfg.t_limit == 1.5
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -112,8 +110,8 @@ class TestConfig:
 
 class TestInputChecks:
     @pytest.mark.parametrize("text,message", [
-        ('{"t_obs": 0}', "t_obs: must be > 0, got 0"),
-        ("[]", "top level must be an object")], ids=["zero-t-obs", "list"])
+        ('{"t_limit": 0}', "t_limit: must be > 0, got 0"),
+        ("[]", "top level must be an object")], ids=["zero-t-limit", "list"])
     def test_config_file_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "cfg.json"
         path.write_text(text)

@@ -292,18 +292,25 @@ class TestStrategies:
         assert access_counts(MultipleHpR(16), 85, 2 ** 21, 8) == (536_870_912, 0)
 
     def test_reordered_plane_geometry_is_built_once(self, rng, monkeypatch):
-        # reorder builds the layout; harmonic_sum reads the plane's own copy
+        # reorder builds the layout; harmonic_sum reads the plane's own copy,
+        # and execute counts multi-r's traffic off the rFOP it built
         calls = []
         section_geometry = prep._section_geometry
-        monkeypatch.setattr(prep, "_section_geometry",
-                            lambda *args: calls.append(args)
-                            or section_geometry(*args))
+        for module in (prep, harmonic):
+            monkeypatch.setattr(module, "_section_geometry",
+                                lambda *args: calls.append(args)
+                                or section_geometry(*args))
         cfg = cfg_for(9, 256)
         fop = Fop(random_plane(rng, 9, 256))
         table = ThresholdTable.from_plane(fop, cfg.n_hp, sigma_factor=1.0)
         _, ref = harmonic_sum_naive(fop, table, cfg)
         assert harmonic_sum(reorder(fop, 16, cfg.n_hp), table, cfg).same_as(ref)
         assert len(calls) == 1
+        calls.clear()
+        st = execute(RunSpec(config=cfg, hm_kind="multi-r", hm_cols=4, seed=3))[2]
+        assert len(calls) == 1
+        assert (st.points_read, st.plane_writes) == access_counts(
+            MultipleHpR(4), 9, 256, cfg.n_hp)
 
     def test_elapsed_spans_candidate_selection(self, monkeypatch):
         # execute's t_hm is the stage's one clock; selection falls inside it
