@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     except (harness.SpecError, ConfigError, InputError, pl.ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FdasError as exc:
+    except (FdasError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

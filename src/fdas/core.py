@@ -106,13 +106,15 @@ class FdasConfig:
 def load_config(path) -> FdasConfig:
     """Load a JSON config; fields missing from the file take the defaults.
 
-    An empty file is a valid config (all defaults). An unknown key raises
-    ConfigError naming it; ``FdasConfig`` checks every value, and a wrongly
-    typed, null or non-finite one raises ConfigError naming its field.
-    """
-    text = Path(path).read_text()
+    An empty file is a valid config (all defaults). A file not readable as
+    UTF-8 text or an unknown key raises ConfigError naming it; ``FdasConfig``
+    checks every value, and a wrongly typed, null or non-finite one raises
+    ConfigError naming its field."""
     try:
+        text = Path(path).read_text(encoding="utf-8")
         raw = json.loads(text) if text.strip() else {}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path}: cannot read ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
@@ -279,9 +281,10 @@ def synthetic_bank(config: FdasConfig, seed: int = 0,
 class Fop:
     """Filter-output plane of real power values.
 
-    A canonical plane is template-major (storage row = template); after
-    transposition ``channel_major`` is True and the storage axes are swapped.
-    Signed template index i maps to storage row i + (n_templates - 1) // 2.
+    The package builds template-major planes (storage row = template); a
+    caller may pass ``channel_major`` True with the storage axes swapped, and
+    readers take either through ``template_major()``. Signed template index
+    i maps to storage row i + (n_templates - 1) // 2.
     Planes are immutable after construction by convention.
     """
 

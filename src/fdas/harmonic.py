@@ -204,12 +204,16 @@ class CandidateList:
             header = next(reader, None)
             if header != CSV_HEADER:
                 raise HarmonicError(f"{path}: unexpected candidate CSV header")
-            try:
-                rows = [(int(r[0]), int(r[1]), int(r[2]), np.float32(float(r[3])))
-                        for r in reader]
-            except (ValueError, IndexError) as exc:
-                raise HarmonicError(f"{path}: malformed candidate row ({exc})") \
-                    from exc
+            rows = []
+            for r in reader:  # the rows to_csv writes, and no others
+                try:
+                    h, t, c, p = r  # exactly four fields
+                    h, t, c, p = int(h), int(t), int(c), float(p)
+                    if h < 1 or not 0 <= p <= float(np.finfo(np.float32).max):
+                        raise ValueError
+                except ValueError:
+                    raise HarmonicError(f"{path}: malformed candidate row {r}") from None
+                rows.append((h, t, c, np.float32(p)))
         return cls(rows)
 
 

@@ -156,7 +156,7 @@ def execute(spec: RunSpec):
         st.points_read, st.plane_writes = pr.plane.blocks.size, 0
     else:
         st.points_read, st.plane_writes = hm.access_counts(
-            hm_s, *pr.fop.template_major().shape, cfg.n_hp)
+            hm_s, *pr.fop.values.shape, cfg.n_hp)
     rfop_bytes = pr.plane.blocks.nbytes if pr.b_reorder else 0
     attach_demands(st, series.nbytes, pr.fop.nbytes, raw_bytes, rfop_bytes)
     return pr.fop, candidates, st, pr.plane

@@ -29,11 +29,11 @@ class StageTiming:
 
     The convolution stage is a sequence of kernel launches (per_launch, each
     padded by the launch overhead t_klo); the preparation stage is the subset
-    of {discard, transpose, reorder} enabled by the booleans; harmonic
-    summing, its thresholds included, is a single span. ``demands`` maps
-    stage names ('ft', 'discard', 'transpose', 'reorder', 'hm') to off-chip
-    bandwidth demand in bytes/s and may be left empty when contention is not
-    modelled.
+    of {discard, transpose, reorder} enabled by the booleans, ``t_transpose``
+    timing a copy no host reader takes; harmonic summing, thresholds included,
+    is one span. ``demands`` maps stage names ('ft', 'discard', 'transpose',
+    'reorder', 'hm') to off-chip bandwidth demand in bytes/s and may be left
+    empty when contention is not modelled.
 
     The fields are the ``timing.json`` record, in file order; ``to_dict``
     appends the derived totals t_ft, t_fop and t_fdas. Each ``t_*``, total,
@@ -410,9 +410,11 @@ def write_report_csv(report: list, path) -> None:
 def load_timing_rows(path) -> list:
     """Load sweep input: a JSON array of objects, each a string
     ``combination`` and a ``StageTiming.from_dict`` record, which checks its
-    values. A malformed row raises ModelError naming it."""
+    values. A malformed row or an unreadable file raises ModelError naming it."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelError(f"timing file {path}: cannot read ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ModelError(f"timing file {path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, list):

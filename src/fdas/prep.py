@@ -3,12 +3,12 @@
 Three transforms adapt any convolution output to any harmonic-summing input:
 discard strips the invalid chunk prefixes of overlap-save output and squares
 the valid points through ``power_spectrum``, template by template, into the
-float32 power plane with no plane-sized temporary; transpose flips the plane
-orientation without checking the values again, and reorder builds the
-duplicated/padded streaming layout consumed by the block-streaming harmonic
-strategy. ``prepare`` decides which subset fires from the convolution result
-(chunked or not) and one table keyed by the harmonic strategy's kind; when
-none is needed the preparation is the identity with zero cost.
+float32 template-major plane, with no plane-sized temporary, that every host
+reader reads; reorder builds from it the duplicated/padded streaming layout
+of the block-streaming harmonic strategy; transpose is the FPGA chain's
+layout change, which ``prepare`` times and drops. ``prepare`` decides which
+subset fires from the convolution result (chunked or not) and one table keyed
+by the harmonic strategy's kind; when none is needed it costs nothing.
 Reorder and every traversal of ``fdas.harmonic`` run over tiles of about
 ``TILE_POINTS`` plane points: linear in plane size, with bounded index
 arrays.
@@ -16,7 +16,6 @@ arrays.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 
@@ -80,13 +79,9 @@ def fop_from(result) -> Fop:
     return result
 
 
-def transpose(fop: Fop) -> Fop:
-    """Swap the storage axes; bit-exact involution. The values are the
-    checked source's, so the copy is not scanned again."""
-    out = copy.copy(fop)
-    out.values = np.ascontiguousarray(fop.values.T)
-    out.channel_major = not fop.channel_major
-    return out
+def transpose(fop: Fop) -> np.ndarray:
+    """The checked plane's values transposed into a C-ordered copy, unscanned."""
+    return np.ascontiguousarray(fop.values.T)
 
 
 # --- reordered plane -------------------------------------------------------------
@@ -195,8 +190,8 @@ def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
 
 # --- combination matrix -----------------------------------------------------------
 
-# Per harmonic kind, whether it reads the transposed plane (after a
-# time-domain kernel, after chunked output). Chunked overlap-save output
+# Per harmonic kind, whether its FPGA kernel reads the transposed plane (after
+# a time-domain kernel, after chunked output). Chunked overlap-save output
 # always needs the discard, and only ``multi-r`` the reorder. The one
 # asymmetry: the naive multi-plane method reads the raw-template orientation
 # directly after a time-domain kernel, but the chunked frequency path hands it
@@ -209,14 +204,20 @@ _TRANSPOSED = {"single": (False, False), "naive-multi": (False, True),
 class PrepResult:
     """Outcome of the preparation step: plane, canonical plane, and timings."""
 
-    plane: object            # Fop or RFop, as the harmonic strategy needs
+    plane: object            # fop itself, or for multi-r the RFop built from it
     fop: Fop                 # canonical template-major power plane
     b_discard: bool = False
     b_transpose: bool = False
     b_reorder: bool = False
     t_discard: float = 0.0
-    t_transpose: float = 0.0
+    t_transpose: float = 0.0  # the FPGA chain's transpose; its copy is dropped
     t_reorder: float = 0.0
+
+
+def _timed(fn, *args):
+    """(fn(*args), its wall time in seconds)."""
+    t0 = time.perf_counter()
+    return fn(*args), time.perf_counter() - t0
 
 
 def prepare(result, hm_strategy, n_hp: int) -> PrepResult:
@@ -225,29 +226,19 @@ def prepare(result, hm_strategy, n_hp: int) -> PrepResult:
     The result's type (chunked overlap-save output or a plane) and the
     ``_TRANSPOSED`` row of the harmonic strategy's kind decide them; their
     flags and wall times become the preparation stage of the throughput
-    model. When no transform is needed the input plane passes through
-    untouched and the preparation cost is zero.
+    model. Readers get ``fop`` or its rFOP; a transpose is only timed. When
+    no transform is needed the input plane passes through at zero cost.
     """
     kind = getattr(hm_strategy, "kind", None)
     if kind not in _TRANSPOSED:
         raise PrepError(f"unknown harmonic strategy {hm_strategy!r}")
     b1 = isinstance(result, ConvRawOutput)
     b2, b3 = _TRANSPOSED[kind][b1], kind == "multi-r"
-    t_discard = t_transpose = t_reorder = 0.0
-    t0 = time.perf_counter()
-    fop = fop_from(result)
-    if b1:
-        t_discard = time.perf_counter() - t0
-
-    plane: object = fop
-    if b2:
-        t0 = time.perf_counter()
-        plane = transpose(fop)
-        t_transpose = time.perf_counter() - t0
-    if b3:
-        t0 = time.perf_counter()
-        plane = reorder(plane, hm_strategy.cols_per_group, n_hp)
-        t_reorder = time.perf_counter() - t0
+    fop, t_discard = _timed(fop_from, result)
+    # the model's timed transpose; no host reader takes the copy
+    t_transpose = _timed(transpose, fop)[1] if b2 else 0.0
+    plane, t_reorder = (_timed(reorder, fop, hm_strategy.cols_per_group, n_hp)
+                        if b3 else (fop, 0.0))
     return PrepResult(plane=plane, fop=fop, b_discard=b1, b_transpose=b2,
-                      b_reorder=b3, t_discard=t_discard, t_transpose=t_transpose,
-                      t_reorder=t_reorder)
+                      b_reorder=b3, t_discard=t_discard if b1 else 0.0,
+                      t_transpose=t_transpose, t_reorder=t_reorder)

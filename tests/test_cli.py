@@ -10,6 +10,7 @@ import time
 import types
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +294,36 @@ class TestExecute:
             outs.append((fop.values.tobytes(), candidates.entries.tobytes()))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("hm_kind", list(HM_KINDS))
+    @pytest.mark.parametrize("conv_kind", list(CONV_KINDS))
+    def test_readers_get_the_template_major_plane(self, monkeypatch, conv_kind,
+                                                  hm_kind):
+        # the host reads one layout: harmonic_sum and reorder get the plane
+        # the convolution built; the transpose is only timed for the model
+        got = {}
+
+        def spy(name, fn):
+            def recording(plane, *rest):
+                got[name] = plane
+                return fn(plane, *rest)
+            return recording
+
+        monkeypatch.setattr(harmonic, "harmonic_sum",
+                            spy("harmonic_sum", harmonic.harmonic_sum))
+        monkeypatch.setattr(prep, "reorder", spy("reorder", prep.reorder))
+        spec = RunSpec(config=FdasConfig.desk_scale(**DESK), conv_kind=conv_kind,
+                       conv_param=256 if conv_kind == "ols-fd" else None,
+                       hm_kind=hm_kind, seed=7)
+        fop, _, st, plane = execute(spec)
+        assert got["harmonic_sum"] is plane
+        if hm_kind == "multi-r":
+            assert got["reorder"] is fop and isinstance(plane, prep.RFop)
+        else:
+            assert "reorder" not in got and plane is fop
+        assert not fop.channel_major
+        assert st.b_transpose == prep._TRANSPOSED[hm_kind][conv_kind == "ols-fd"]
+        assert (st.t_transpose > 0) == st.b_transpose
+
     def test_seeded_config_space_fuzz(self):
         # every desk-scale config the spec accepts runs and matches the brute
         # force on its own plane; the one refusal is the overlap-save chunk rule
@@ -527,6 +558,52 @@ class TestSweep:
         assert run_cli("sweep", "--out", str(tmp_path / "s"), "--devices",
                        devices, "--conv", "naive-td", "--hm", "single") == 2
         assert not (tmp_path / "s").exists()
+
+
+class TestFileErrors:
+    """An input file that cannot be read exits 2 and an output that cannot be
+    written exits 1, each with one ``error:`` line and no output directory."""
+
+    @pytest.fixture
+    def unreadable(self, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{")  # not UTF-8
+        return {"missing": tmp_path / "missing.json", "directory": tmp_path,
+                "binary": binary}
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    @pytest.mark.parametrize("command", ["gen", "run", "sweep"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, unreadable,
+                                       command, kind):
+        path, out = unreadable[kind], tmp_path / "out"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path}: cannot read (")
+        assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    def test_unreadable_timings_exit_2(self, tmp_path, capsys, unreadable, kind):
+        path, out = unreadable[kind], tmp_path / "out"
+        assert run_cli("sweep", "--timings", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: timing file {path}: cannot read (")
+        assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("command", [["gen"], ["run"],
+                                         ["sweep", "--timings", "timings.json"]],
+                             ids=lambda c: c[0])
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys, monkeypatch,
+                                       desk_config, command):
+        monkeypatch.chdir(tmp_path)
+        Path("timings.json").write_text(
+            json.dumps([{"combination": "a", "t_ft": 1, "t_fop": 1, "t_hm": 1}]))
+        Path("taken").write_text("kept")
+        assert run_cli(*command, "--config", desk_config, "--out", "taken") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert Path("taken").read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "taken", "timings.json"]
 
 
 class TestRunSpecValidation:

@@ -1,6 +1,7 @@
 """Harmonic summing: stretch lookups, the reference accumulation, and the
 optimised traversals."""
 
+import re
 import time
 import tracemalloc
 
@@ -15,9 +16,15 @@ from fdas.harmonic import (CANDIDATE_DTYPE, CandidateList, HarmonicError,
                            ThresholdTable, access_counts, harmonic_sum,
                            harmonic_sum_naive, stretch_lookup)
 from fdas.harness import RunSpec, execute
-from fdas.prep import TILE_POINTS, _tile_cols, reorder, transpose
+from fdas.prep import TILE_POINTS, _tile_cols, reorder
 
 from conftest import random_plane, select_candidates, stretched_sums
+
+
+def channel_major(fop):
+    """The same plane as a caller-built channel-major Fop; the package builds
+    none, but its readers accept one."""
+    return Fop(np.ascontiguousarray(fop.values.T), channel_major=True)
 
 
 def cfg_for(rows, cols, n_hp=8, n_cand=16):
@@ -225,6 +232,19 @@ class TestCandidateList:
         with pytest.raises(HarmonicError, match="header"):
             CandidateList.from_csv(path)
 
+    @pytest.mark.parametrize("row", [
+        "1,0,5,2.0,junk", "1,0,6", "1,0,6,nan", "1,0,6,inf", "1,0,6,-1.0",
+        "1,0,6,1e39", "-3,0,7,1.0", "0,0,7,1.0"],
+        ids=["five-fields", "three-fields", "nan-power", "inf-power",
+             "negative-power", "float32-overflow", "negative-harmonic",
+             "harmonic-0"])
+    def test_csv_rows_to_csv_never_writes_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"harmonic,template,channel,power\n1,0,4,3.0\n{row}\n")
+        fields = re.escape(str(row.split(",")))
+        with pytest.raises(HarmonicError, match=f"malformed candidate row {fields}"):
+            CandidateList.from_csv(path)
+
 
 def run_all_strategies(fop, table, cfg, block_cols=8):
     """Each strategy's candidates on the plane ``prepare`` hands it."""
@@ -256,7 +276,7 @@ class TestStrategies:
         fop = Fop(random_plane(rng, 5, 32))
         table = ThresholdTable.from_plane(fop, cfg.n_hp, sigma_factor=1.0)
         _, ref = harmonic_sum_naive(fop, table, cfg)
-        cands = harmonic_sum(transpose(fop), table, cfg)
+        cands = harmonic_sum(channel_major(fop), table, cfg)
         assert cands.same_as(ref)
 
     def test_access_statistics(self):
@@ -382,30 +402,28 @@ class TestMultiTilePlane:
 
     @pytest.fixture(scope="class")
     def matches_ref(self, case):
-        """Check a strategy's prepared plane against ref, summing each plane
-        orientation once: multi-n gets the channel-major plane whatever its
-        column-group width, and single and naive-multi the template-major
-        one."""
+        """Check that a strategy's prepared plane is the case's plane itself,
+        which multi-n, whatever its column-group width, single and
+        naive-multi all sum, and sum it against ref once."""
         fop, cfg, table, ref = case
-        summed = {}
+        summed = []
 
         def check(strategy):
             plane = prep.prepare(fop, strategy, cfg.n_hp).plane
-            if plane.channel_major not in summed:
+            assert plane is fop
+            if not summed:
                 assert harmonic_sum(plane, table, cfg).same_as(ref)
-                summed[plane.channel_major] = plane.values
-            assert np.array_equal(plane.values, summed[plane.channel_major])
-            return plane
+                summed.append(plane)
         return check
 
     @pytest.mark.parametrize("block_cols", [3, 16, 1])
     def test_multi_n_matches_reference(self, matches_ref, block_cols):
-        assert matches_ref(MultipleHpN(block_cols)).channel_major
+        matches_ref(MultipleHpN(block_cols))
 
     @pytest.mark.parametrize("strategy", [SingleHp(), NaiveMultipleHp()],
                              ids=lambda s: s.kind)
     def test_plane_at_a_time_matches_reference(self, matches_ref, strategy):
-        assert not matches_ref(strategy).channel_major
+        matches_ref(strategy)
 
     def test_every_strategy_accumulates_over_bounded_tiles(self, case,
                                                           monkeypatch):
@@ -418,7 +436,7 @@ class TestMultiTilePlane:
         # the tile width depends on the plane alone, not on a strategy's
         # column groups or blocks
         assert _tile_cols(rows, 1) < cols  # the plane spans tiles
-        for plane in [fop, transpose(fop), reorder(fop, 17, cfg.n_hp)]:
+        for plane in [fop, channel_major(fop), reorder(fop, 17, cfg.n_hp)]:
             calls.clear()
             harmonic_sum(plane, table, cfg)
             assert calls == [(cols, _tile_cols(rows, 1))], type(plane).__name__
@@ -486,7 +504,7 @@ class TestTilePreCap:
         n_tiles = -(-cols // _tile_cols(rows, 1))
         assert n_tiles > 1
         for name, plane in [("template-major", fop),
-                            ("channel-major", transpose(fop)),
+                            ("channel-major", channel_major(fop)),
                             ("reordered", reorder(fop, 16, cfg.n_hp))]:
             sizes.clear()
             cands = harmonic_sum(plane, table, cfg)
@@ -520,7 +538,7 @@ class TestRunningFloor:
 
         monkeypatch.setattr(CandidateList, "from_points", classmethod(spy))
         for name, plane in [("template-major", fop),
-                            ("channel-major", transpose(fop)),
+                            ("channel-major", channel_major(fop)),
                             ("reordered", reorder(fop, 16, cfg.n_hp))]:
             sizes.clear()
             assert harmonic_sum(plane, table, cfg).same_as(ref), name
@@ -599,7 +617,7 @@ class TestTileEdges:
         cfg = cfg_for(rows, cols, n_hp=n_hp, n_cand=n_cand)
         monkeypatch.setattr(prep, "TILE_POINTS", tile_width * rows)
         assert _tile_cols(rows, 1) == tile_width
-        runs = [("template-major", fop), ("channel-major", transpose(fop))]
+        runs = [("template-major", fop), ("channel-major", channel_major(fop))]
         runs += [(f"reordered {b}", reorder(fop, b, n_hp)) for b in (1, 3, 16)]
         for name, plane in runs:
             assert harmonic_sum(plane, table, cfg).same_as(ref), name
