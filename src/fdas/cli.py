@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import convolution as conv
+from . import harmonic as hm
 from . import harness
 from . import pipeline as pl
 from .core import (ConfigError, FdasConfig, FdasError, InputError,
@@ -67,10 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one combination end to end")
     _add_common(p_run)
     _add_generation(p_run)
-    p_run.add_argument("--conv", choices=harness.ALL_CONV, default="ols-fd")
+    p_run.add_argument("--conv", choices=conv.CONV_KINDS, default="ols-fd")
     p_run.add_argument("--conv-param", type=int, default=None, metavar="N",
                        help="sub-filter width (ola-td) or chunk size (ols-fd)")
-    p_run.add_argument("--hm", choices=harness.ALL_HM, default="naive-multi")
+    p_run.add_argument("--hm", choices=hm.HM_KINDS, default="naive-multi")
     p_run.add_argument("--hm-cols", type=int, default=None, metavar="N",
                        help="columns per work group (multi-n, multi-r)")
     p_run.add_argument("--devices", type=int, default=1)
@@ -95,9 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--reps", type=int,
                       help="repetitions per combination when measuring")
     p_sw.add_argument("--threads", type=int)
-    p_sw.add_argument("--conv", choices=harness.ALL_CONV, default=None,
+    p_sw.add_argument("--conv", choices=conv.CONV_KINDS, default=None,
                       help="restrict measured sweep to one convolution kind")
-    p_sw.add_argument("--hm", choices=harness.ALL_HM, default=None,
+    p_sw.add_argument("--hm", choices=hm.HM_KINDS, default=None,
                       help="restrict measured sweep to one harmonic kind")
     return parser
 
@@ -151,6 +153,7 @@ def cmd_sweep(args) -> int:
         raise harness.SpecError(f"devices must be >= 1, got {args.devices}")
     measured = {k: getattr(args, k) for k in ("reps", "threads", "seed", "conv", "hm")}
     measured = {k: v for k, v in measured.items() if v is not None}
+    out = harness.output_dir(args.out)  # made only once there is a report
     if args.timings:
         if measured:
             raise harness.SpecError(f"--timings does not take --{', --'.join(measured)}"
@@ -159,14 +162,13 @@ def cmd_sweep(args) -> int:
         plane_bytes = 0
     else:
         combos = [(c, h)
-                  for c in (harness.ALL_CONV if args.conv is None else [args.conv])
-                  for h in (harness.ALL_HM if args.hm is None else [args.hm])]
+                  for c in (conv.CONV_KINDS if args.conv is None else [args.conv])
+                  for h in (hm.HM_KINDS if args.hm is None else [args.hm])]
         rows, plane_bytes = harness.measure_sweep(
             cfg, combos, **{k: v for k, v in measured.items()
                             if k not in ("conv", "hm")})
     report = pl.sweep(rows, dev, n_devices=args.devices, plane_bytes=plane_bytes,
                       t_limit=cfg.t_limit)
-    out = Path(args.out)  # made only once there is a report to write
     out.mkdir(parents=True, exist_ok=True)
     pl.write_report_json(report, out / "report.json")
     pl.write_report_csv(report, out / "report.csv")

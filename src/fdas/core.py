@@ -279,12 +279,10 @@ def synthetic_bank(config: FdasConfig, seed: int = 0,
 
 @dataclass
 class Fop:
-    """Filter-output plane of real power values.
-
-    The package builds template-major planes (storage row = template); a
-    caller may pass ``channel_major`` True with the storage axes swapped, and
-    readers take either through ``template_major()``. Signed template index
-    i maps to storage row i + (n_templates - 1) // 2.
+    """Filter-output plane of real power values, template-major: storage
+    row = template, column = channel. Signed template index i maps to
+    storage row i + (rows - 1) // 2. ``channel_major`` accepts only False;
+    a channel-major plane raises FormatError.
     Planes are immutable after construction by convention.
     """
 
@@ -292,6 +290,8 @@ class Fop:
     channel_major: bool = False
 
     def __post_init__(self):
+        if self.channel_major:
+            raise FormatError("FOP planes are template-major, not channel-major")
         v = np.asarray(self.values, dtype=np.float32)
         if v.ndim != 2:
             raise FormatError("FOP values must be a 2-D matrix")
@@ -315,21 +315,19 @@ class Fop:
 
     @property
     def n_templates(self) -> int:
-        return self.cols if self.channel_major else self.rows
+        return self.rows
 
     @property
     def nbytes(self) -> int:
         return self.values.nbytes
 
     def template_major(self) -> np.ndarray:
-        """The plane in logical (template, channel) orientation (a view)."""
-        return self.values.T if self.channel_major else self.values
+        """The plane's values, which are template-major."""
+        return self.values
 
 
 def save_fop(fop: Fop, path) -> None:
     """Write the binary FOP file (magic, u32 rows, u32 cols, f32 values, LE)."""
-    if fop.channel_major:
-        raise FormatError("FOP files store template-major planes; transpose first")
     with open(path, "wb") as fh:
         fh.write(FOP_MAGIC)
         fh.write(struct.pack("<II", fop.rows, fop.cols))

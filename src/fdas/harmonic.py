@@ -6,8 +6,8 @@ summed cumulatively, and points exceeding their per-(harmonic, template)
 threshold are selected, capped per harmonic. The brute-force accumulation is
 the reference. A harmonic strategy is its traffic formula: ``access_counts``
 gives the off-chip points each one reads and writes, and ``harmonic_sum``
-runs the one accumulation for all four, reading the plane or the reordered
-plane as it is handed, over column tiles of about ``prep.TILE_POINTS`` plane
+runs the one accumulation for all four, reading the template-major plane or
+its rFOP as it is handed, over column tiles of about ``prep.TILE_POINTS`` plane
 points, so its time is linear in the plane size and its candidates are those
 of the reference bit for bit. Tiles are channel-major (column x template
 row), and their width depends on the plane alone. Each harmonic k is read at
@@ -146,6 +146,7 @@ CANDIDATE_DTYPE = np.dtype([("harmonic", "<i4"), ("template", "<i4"),
                             ("channel", "<i4"), ("power", "<f4")])
 
 CSV_HEADER = list(CANDIDATE_DTYPE.names)
+_I32 = np.iinfo(np.int32)  # harmonic, template and channel are int32 fields
 
 
 @dataclass
@@ -186,9 +187,6 @@ class CandidateList:
         return all(np.array_equal(self.entries[f], other.entries[f])
                    for f in CANDIDATE_DTYPE.names)
 
-    def channels_for(self, k: int) -> np.ndarray:
-        return self.entries["channel"][self.entries["harmonic"] == k]
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -209,7 +207,8 @@ class CandidateList:
                 try:
                     h, t, c, p = r  # exactly four fields
                     h, t, c, p = int(h), int(t), int(c), float(p)
-                    if h < 1 or not 0 <= p <= float(np.finfo(np.float32).max):
+                    if (h < 1 or not _I32.min <= min(t, c) <= max(h, t, c) <= _I32.max
+                            or not 0 <= p <= float(np.finfo(np.float32).max)):
                         raise ValueError
                 except ValueError:
                     raise HarmonicError(f"{path}: malformed candidate row {r}") from None
@@ -253,12 +252,11 @@ def stretch_lookup(fop: Fop, k: int, i: int, j: int) -> np.float32:
     """
     if k < 1:
         raise HarmonicError(f"harmonic must be >= 1, got {k}")
-    tm = fop.template_major()
-    rows, cols = tm.shape
+    rows, cols = fop.values.shape
     if not 0 <= j < cols:
         raise HarmonicError(f"channel {j} out of range [0, {cols})")
     src_i = (1 if i >= 0 else -1) * (abs(i) // k)
-    return tm[storage_row(src_i, rows), j // k]
+    return fop.values[storage_row(src_i, rows), j // k]
 
 
 def _check_thresholds(thresholds: ThresholdTable, n_hp: int, rows: int) -> None:
@@ -278,7 +276,7 @@ def harmonic_sum_naive(fop: Fop, thresholds: ThresholdTable,
     ascending order (plane 1 equals the input plane bit-exactly); candidates
     per harmonic are the top-n_cand points strictly above threshold.
     """
-    tm = fop.template_major()
+    tm = fop.values
     rows, cols = tm.shape
     _check_thresholds(thresholds, config.n_hp, rows)
     signed = signed_range(rows)
@@ -375,7 +373,7 @@ def harmonic_sum(plane, thresholds: ThresholdTable,
     exactly.
 
     The reader follows the plane's type: an ``RFop`` (the reordered plane)
-    is read through its blocks, a ``Fop`` of either orientation directly.
+    is read through its blocks, a template-major ``Fop`` directly.
     Either way the accumulation runs over the same bounded tiles, sized by
     the plane alone, and each tile keeps its n_cand strongest points per
     harmonic, none below the running floor, for the one final sort.
@@ -387,7 +385,7 @@ def harmonic_sum(plane, thresholds: ThresholdTable,
                 f"reordered plane carries {plane.n_hp} harmonics, config wants {n_hp}")
         rows, cols, read = plane.n_rows, plane.n_chan, plane.source
     elif isinstance(plane, Fop):
-        tm = plane.template_major()
+        tm = plane.values
         rows, cols = tm.shape
         row_maps = {k: stretch_rows(rows, k) for k in range(1, n_hp + 1)}
 

@@ -38,10 +38,6 @@ def check_seed(seed: int) -> None:
 VERIFY_TEMPLATES = {2 ** 10: 5, 2 ** 11: 7, 2 ** 12: 9, 2 ** 13: 13, 2 ** 14: 17}
 
 
-ALL_CONV = tuple(conv.CONV_KINDS)
-ALL_HM = tuple(hm.HM_KINDS)
-
-
 def _make_strategy(kinds: dict, stage: str, kind: str, *params):
     """Build ``kinds[kind]``, giving its fields in order the parameters that
     are not None; the dataclass holds the defaults and validates the rest.
@@ -162,14 +158,25 @@ def execute(spec: RunSpec):
     return pr.fop, candidates, st, pr.plane
 
 
+def output_dir(out_dir) -> Path:
+    """``out_dir`` as a Path, creating nothing; raises before any work the
+    OSError its ``mkdir`` would, if it or its nearest existing parent is not
+    a directory."""
+    out = Path(out_dir)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"{existing}: not a directory")
+    return out
+
+
 def run_pipeline(spec: RunSpec, out_dir) -> dict:
     """Execute the spec, then write fop/candidates/timing/plan artifacts."""
+    out = output_dir(out_dir)  # an unusable --out fails before the search
     fop, candidates, st, _ = execute(spec)
     dev = pl.DeviceModel.nominal()
     plan = pl.plan_pipeline(st, dev, plane_bytes=fop.nbytes,
                             n_devices=spec.n_devices, scheme=spec.scheme,
                             t_limit=spec.config.t_limit)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
         "fop": out / "fop.fop",
@@ -290,7 +297,7 @@ def measure_sweep(config: FdasConfig, combos: list | None = None, reps: int = 5,
     """Time every combination end-to-end; returns the (name, median-latency
     StageTiming) rows that feed the model and the plane's byte size."""
     if combos is None:
-        combos = [(c, h) for c in ALL_CONV for h in ALL_HM]
+        combos = [(c, h) for c in conv.CONV_KINDS for h in hm.HM_KINDS]
     if not combos:
         raise SpecError("sweep needs at least one combination")
     if reps < 1:

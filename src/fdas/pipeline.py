@@ -303,8 +303,7 @@ def contended_period(st: StageTiming, dev: DeviceModel, buffering: int) -> float
 # --- multiple devices -----------------------------------------------------------
 
 def multi_device_period(st: StageTiming, n: int, scheme: str,
-                        dev: DeviceModel | None = None,
-                        plane_bytes: float = 0.0) -> float:
+                        dev: DeviceModel, plane_bytes: float = 0.0) -> float:
     """Pipeline period with n devices under the given partitioning scheme.
 
     single-input splits the harmonic-summing work of one array across devices;
@@ -322,11 +321,8 @@ def multi_device_period(st: StageTiming, n: int, scheme: str,
         return single_input
     if scheme == "multi-input":
         return multi_input
-    transfer = 0.0
-    if n > 1 and plane_bytes > 0:
-        if dev is None:
-            raise ModelError("multi-config needs a DeviceModel for the host link")
-        transfer = plane_bytes / dev.host_link_bandwidth
+    transfer = (plane_bytes / dev.host_link_bandwidth
+                if n > 1 and plane_bytes > 0 else 0.0)
     return max(t_ft, t_fop, t_hm) + transfer
 
 

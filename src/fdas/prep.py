@@ -3,10 +3,11 @@
 Three transforms adapt any convolution output to any harmonic-summing input:
 discard strips the invalid chunk prefixes of overlap-save output and squares
 the valid points through ``power_spectrum``, template by template, into the
-float32 template-major plane, with no plane-sized temporary, that every host
-reader reads; reorder builds from it the duplicated/padded streaming layout
-of the block-streaming harmonic strategy; transpose is the FPGA chain's
-layout change, which ``prepare`` times and drops. ``prepare`` decides which
+float32 template-major plane, with no plane-sized temporary; that is the one
+orientation a ``Fop`` takes and every host reader reads. reorder builds from
+it the duplicated/padded streaming layout of the block-streaming harmonic
+strategy; transpose is the FPGA chain's layout change, which ``prepare``
+times and drops. ``prepare`` decides which
 subset fires from the convolution result (chunked or not) and one table keyed
 by the harmonic strategy's kind; when none is needed it costs nothing.
 Reorder and every traversal of ``fdas.harmonic`` run over tiles of about
@@ -69,13 +70,11 @@ def discard(raw: ConvRawOutput) -> np.ndarray:
 
 
 def fop_from(result) -> Fop:
-    """Canonical template-major power plane from any convolution result."""
+    """The template-major power plane of any convolution result."""
     if isinstance(result, ConvRawOutput):
         return power_plane(discard(result))
     if not isinstance(result, Fop):
         raise PrepError(f"cannot build a plane from {type(result).__name__}")
-    if result.channel_major:
-        raise PrepError("cannot build a plane from a channel-major Fop")
     return result
 
 
@@ -166,8 +165,7 @@ def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
     """
     if block_cols < 1 or n_hp < 1:
         raise PrepError("block_cols and n_hp must be >= 1")
-    tm = fop.template_major()
-    rows, cols = tm.shape
+    rows, cols = fop.values.shape
     lo, width, base, block_len = _section_geometry(cols, block_cols, n_hp, rows)
     n_blocks = lo.shape[0]
     blocks = np.zeros((n_blocks, block_len), dtype=np.float32)
@@ -183,7 +181,7 @@ def reorder(fop: Fop, block_cols: int, n_hp: int) -> RFop:
             bi, j = np.nonzero(np.arange(w.max()) < w[:, None])
             b, w = b[bi], w[bi]
             src = lo[b, k - 1] + j
-            flat[base[b, k - 1] + src + row_step * w] = tm[row_map, src]
+            flat[base[b, k - 1] + src + row_step * w] = fop.values[row_map, src]
     return RFop(blocks=blocks, block_cols=block_cols, n_hp=n_hp, n_rows=rows,
                 n_chan=cols, geometry=(lo, width, base, block_len))
 

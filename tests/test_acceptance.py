@@ -10,13 +10,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fdas.convolution import (NaiveFd, NaiveTd, OlaTd, OlsFd, assemble_ols,
-                              convolve_bank, fir_ols_fd, ola_launch_count,
-                              ola_padded_length)
+from fdas.convolution import (CONV_KINDS, NaiveFd, NaiveTd, OlaTd, OlsFd,
+                              assemble_ols, convolve_bank, fir_ols_fd,
+                              ola_launch_count, ola_padded_length)
 from fdas.core import FdasConfig, FilterBank, Fop, load_fop
-from fdas.harmonic import (MultipleHpN, MultipleHpR, NaiveMultipleHp, SingleHp,
-                           ThresholdTable, harmonic_sum, harmonic_sum_naive)
-from fdas.harness import ALL_CONV, ALL_HM, RunSpec, execute, measure_sweep, run_pipeline
+from fdas.harmonic import (HM_KINDS, MultipleHpN, MultipleHpR, NaiveMultipleHp,
+                           SingleHp, ThresholdTable, harmonic_sum,
+                           harmonic_sum_naive)
+from fdas.harness import RunSpec, execute, measure_sweep, run_pipeline
 from fdas.pipeline import (DeviceModel, StageTiming, choose_buffering,
                            contended_period, ideal_period, multi_device_period,
                            simulate_overlap, sweep, total_latency)
@@ -24,6 +25,11 @@ from fdas.prep import discard, fop_from, prepare
 
 from conftest import random_plane, random_series, random_taps
 from test_pipeline import REFERENCE_ROWS, reference_timing, step_oracle
+
+
+def fundamental_channels(cands):
+    """Channels of the harmonic-1 candidates."""
+    return cands.entries["channel"][cands.entries["harmonic"] == 1]
 
 
 @contextmanager
@@ -143,7 +149,8 @@ def test_c07_multi_device_partitioning():
                              np.maximum(triples[:, 1], triples[:, 2] / n))
             assert (lhs <= rhs + 1e-15).all()
         st = reference_timing(856, 570, 2)
-        assert multi_device_period(st, 3, "multi-input") == 190.0
+        assert multi_device_period(st, 3, "multi-input",
+                                   DeviceModel.nominal()) == 190.0
 
 
 def test_c08_pipeline_speedup_bounds():
@@ -151,7 +158,7 @@ def test_c08_pipeline_speedup_bounds():
                       "depth and a balanced case reaches at least 1.9x"):
         cfg = FdasConfig.desk_scale(n_chan=1024, n_temp=5, n_tap=17, n_cand=16)
         rows, plane_bytes = measure_sweep(cfg, reps=1, seed=8)
-        assert len(rows) == len(ALL_CONV) * len(ALL_HM)
+        assert len(rows) == len(CONV_KINDS) * len(HM_KINDS)
         report = sweep(rows, DeviceModel.nominal(), plane_bytes=plane_bytes)
         for row in report:
             speedup = row["t_fdas"] / row["period_ideal"]
@@ -199,15 +206,15 @@ def test_c10_end_to_end_tone_recovery():
                        "combination, and at 10x noise in >= 95% of 100 trials"):
         cfg = FdasConfig.desk_scale(n_chan=1024, n_temp=5, n_tap=17, n_cand=16)
         channel, amplitude = 600, 10.0
-        for conv_kind in ALL_CONV:
-            for hm_kind in ALL_HM:
+        for conv_kind in CONV_KINDS:
+            for hm_kind in HM_KINDS:
                 spec = RunSpec(config=cfg, conv_kind=conv_kind,
                                conv_param=256 if conv_kind == "ols-fd" else None,
                                hm_kind=hm_kind,
                                injections=((channel, cfg.n_hp, amplitude),),
                                noise_sigma=0.0, threshold=1e-6, seed=42)
                 _, cands, _, _ = execute(spec)
-                assert channel in cands.channels_for(1), (conv_kind, hm_kind)
+                assert channel in fundamental_channels(cands), (conv_kind, hm_kind)
         sigma = amplitude / 10.0  # signal-to-noise of 10
         ks = np.arange(1, cfg.n_hp + 1)
         per_k = 2 * ks * sigma ** 2 + 16 * np.sqrt(ks) * sigma ** 2
@@ -221,7 +228,7 @@ def test_c10_end_to_end_tone_recovery():
             table = ThresholdTable.constant(per_k.astype(np.float32),
                                             cfg.n_hp, fop.n_templates)
             cands = harmonic_sum(plane, table, cfg)
-            if channel in cands.channels_for(1):
+            if channel in fundamental_channels(cands):
                 hits += 1
         assert hits >= 95, f"recovered {hits}/100"
 

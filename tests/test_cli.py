@@ -82,7 +82,7 @@ class TestRun:
         fop = load_fop(out / "fop.fop")
         assert fop.rows == 5 and fop.cols == 1024
         cands = CandidateList.from_csv(out / "candidates.csv")
-        assert 200 in cands.channels_for(1)
+        assert 200 in cands.entries["channel"][cands.entries["harmonic"] == 1]
         timing = StageTiming.from_dict(json.loads((out / "timing.json").read_text()))
         assert timing.t_fdas > 0
         assert timing.b_discard and timing.b_transpose and timing.b_reorder
@@ -598,12 +598,26 @@ class TestFileErrors:
         Path("timings.json").write_text(
             json.dumps([{"combination": "a", "t_ft": 1, "t_fop": 1, "t_hm": 1}]))
         Path("taken").write_text("kept")
+
+        def no_search(spec):  # --out is checked before the search runs
+            raise AssertionError("harness.execute ran")
+
+        monkeypatch.setattr(harness, "execute", no_search)
         assert run_cli(*command, "--config", desk_config, "--out", "taken") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert Path("taken").read_text() == "kept"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "taken", "timings.json"]
+
+    def test_out_under_a_file_exits_1_before_the_search(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("kept")
+        monkeypatch.setattr(harness, "execute", lambda spec: pytest.fail("searched"))
+        assert run_cli("run", "--out", "taken/sub") == 1
+        assert capsys.readouterr().err == "error: taken: not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 class TestRunSpecValidation:

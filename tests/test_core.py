@@ -125,14 +125,11 @@ class TestInputChecks:
     @pytest.mark.parametrize("call,error,message", [
         (lambda: FilterBank([np.ones((2, 2))]), FdasError,
          "template 0: must be a non-empty 1-D array"),
-        (lambda: save_fop(Fop(np.ones((2, 3)), channel_major=True), "unused"),
-         FormatError, "transpose first"),
         (lambda: generate_input(FdasConfig.desk_scale(), noise_sigma=1e39),
          InputError, "overflow"),
         (lambda: generate_input(FdasConfig.desk_scale(), [(8, 4, 2e38)]),
          InputError, "overflow")],
-        ids=["2-d-template", "channel-major-file",
-             "noise-overflow", "summed-amplitude-overflow"])
+        ids=["2-d-template", "noise-overflow", "summed-amplitude-overflow"])
     def test_typed_error(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
@@ -191,12 +188,6 @@ class TestFopType:
         assert tm[storage_row(-2, 5), 3] == values[0, 3]
         assert tm[storage_row(2, 5), 7] == values[4, 7]
         assert fop.n_templates == 5 and tm.shape == (5, 8)
-
-    def test_channel_major_view(self, rng):
-        values = (rng.standard_normal((5, 8)) ** 2).astype(np.float32)
-        flipped = Fop(np.ascontiguousarray(values.T), channel_major=True)
-        assert flipped.n_templates == 5
-        assert np.array_equal(flipped.template_major(), values)
 
 
 class TestFopFile:

@@ -21,12 +21,6 @@ from fdas.prep import TILE_POINTS, _tile_cols, reorder
 from conftest import random_plane, select_candidates, stretched_sums
 
 
-def channel_major(fop):
-    """The same plane as a caller-built channel-major Fop; the package builds
-    none, but its readers accept one."""
-    return Fop(np.ascontiguousarray(fop.values.T), channel_major=True)
-
-
 def cfg_for(rows, cols, n_hp=8, n_cand=16):
     return FdasConfig.desk_scale(n_temp=rows, n_chan=cols, n_hp=n_hp,
                                  n_cand=n_cand)
@@ -234,10 +228,12 @@ class TestCandidateList:
 
     @pytest.mark.parametrize("row", [
         "1,0,5,2.0,junk", "1,0,6", "1,0,6,nan", "1,0,6,inf", "1,0,6,-1.0",
-        "1,0,6,1e39", "-3,0,7,1.0", "0,0,7,1.0"],
+        "1,0,6,1e39", "-3,0,7,1.0", "0,0,7,1.0", "1,0,99999999999,1.0",
+        "99999999999,0,7,1.0", "1,-99999999999,7,1.0"],
         ids=["five-fields", "three-fields", "nan-power", "inf-power",
              "negative-power", "float32-overflow", "negative-harmonic",
-             "harmonic-0"])
+             "harmonic-0", "int32-overflow-channel", "int32-overflow-harmonic",
+             "int32-overflow-template"])
     def test_csv_rows_to_csv_never_writes_rejected(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"harmonic,template,channel,power\n1,0,4,3.0\n{row}\n")
@@ -270,14 +266,6 @@ class TestStrategies:
                     storage_row(int(e["template"]), rows)]
             for name, cands in run_all_strategies(fop, table, cfg).items():
                 assert cands.same_as(ref), f"{name} diverged on trial {trial}"
-
-    def test_transposed_plane_same_candidates(self, rng):
-        cfg = cfg_for(5, 32)
-        fop = Fop(random_plane(rng, 5, 32))
-        table = ThresholdTable.from_plane(fop, cfg.n_hp, sigma_factor=1.0)
-        _, ref = harmonic_sum_naive(fop, table, cfg)
-        cands = harmonic_sum(channel_major(fop), table, cfg)
-        assert cands.same_as(ref)
 
     def test_access_statistics(self):
         n_points = 8 * 9 * 64
@@ -436,7 +424,7 @@ class TestMultiTilePlane:
         # the tile width depends on the plane alone, not on a strategy's
         # column groups or blocks
         assert _tile_cols(rows, 1) < cols  # the plane spans tiles
-        for plane in [fop, channel_major(fop), reorder(fop, 17, cfg.n_hp)]:
+        for plane in [fop, reorder(fop, 17, cfg.n_hp)]:
             calls.clear()
             harmonic_sum(plane, table, cfg)
             assert calls == [(cols, _tile_cols(rows, 1))], type(plane).__name__
@@ -504,7 +492,6 @@ class TestTilePreCap:
         n_tiles = -(-cols // _tile_cols(rows, 1))
         assert n_tiles > 1
         for name, plane in [("template-major", fop),
-                            ("channel-major", channel_major(fop)),
                             ("reordered", reorder(fop, 16, cfg.n_hp))]:
             sizes.clear()
             cands = harmonic_sum(plane, table, cfg)
@@ -538,7 +525,6 @@ class TestRunningFloor:
 
         monkeypatch.setattr(CandidateList, "from_points", classmethod(spy))
         for name, plane in [("template-major", fop),
-                            ("channel-major", channel_major(fop)),
                             ("reordered", reorder(fop, 16, cfg.n_hp))]:
             sizes.clear()
             assert harmonic_sum(plane, table, cfg).same_as(ref), name
@@ -617,7 +603,7 @@ class TestTileEdges:
         cfg = cfg_for(rows, cols, n_hp=n_hp, n_cand=n_cand)
         monkeypatch.setattr(prep, "TILE_POINTS", tile_width * rows)
         assert _tile_cols(rows, 1) == tile_width
-        runs = [("template-major", fop), ("channel-major", channel_major(fop))]
+        runs = [("template-major", fop)]
         runs += [(f"reordered {b}", reorder(fop, b, n_hp)) for b in (1, 3, 16)]
         for name, plane in runs:
             assert harmonic_sum(plane, table, cfg).same_as(ref), name

@@ -313,9 +313,9 @@ class TestMultiDevicePeriod:
         assert set(values.values()) == {7.0}
 
     def test_worked_example(self):
-        st = totals(100.0, 50.0, 600.0)
-        assert multi_device_period(st, 3, "single-input") == 200.0
-        assert multi_device_period(st, 3, "multi-input") == 200.0
+        st, dev = totals(100.0, 50.0, 600.0), DeviceModel.nominal()
+        assert multi_device_period(st, 3, "single-input", dev) == 200.0
+        assert multi_device_period(st, 3, "multi-input", dev) == 200.0
 
     def test_partitioning_inequality_over_random_triples(self, rng):
         stages = rng.uniform(0.001, 10.0, size=(10_000, 3))
@@ -328,7 +328,8 @@ class TestMultiDevicePeriod:
     def test_measured_three_device_period(self):
         # 570 ms pipelined period across three devices, one array per device
         st = reference_timing(856, 570, 2)
-        assert multi_device_period(st, 3, "multi-input") == 190.0
+        assert multi_device_period(st, 3, "multi-input",
+                                   DeviceModel.nominal()) == 190.0
 
     def test_handoff_cost(self):
         st = totals(3.0, 2.0, 7.0)
@@ -337,13 +338,13 @@ class TestMultiDevicePeriod:
                                    plane_bytes=10.0) == 7.0 + 5.0
 
     def test_bad_inputs(self):
-        st = totals(1, 1, 1)
+        st, dev = totals(1, 1, 1), DeviceModel.nominal()
         with pytest.raises(ModelError):
-            multi_device_period(st, 0, "multi-input")
+            multi_device_period(st, 0, "multi-input", dev)
         with pytest.raises(ModelError):
-            multi_device_period(st, 2, "sideways")
-        with pytest.raises(ModelError, match="needs a DeviceModel"):
-            multi_device_period(st, 2, "multi-config", plane_bytes=1e6)
+            multi_device_period(st, 2, "sideways", dev)
+        with pytest.raises(TypeError):  # no period without the device's host link
+            multi_device_period(st, 2, "multi-config")
 
 
 class TestPlanPipeline:

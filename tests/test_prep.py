@@ -8,8 +8,8 @@ import pytest
 from fdas.convolution import (CONV_KINDS, ConvRawOutput, NaiveFd, NaiveTd,
                               OlaTd, OlsFd, assemble_ols, convolve_bank,
                               fir_naive_td, fir_ols_fd, power_spectrum)
-from fdas.core import (FdasConfig, FilterBank, Fop, generate_input,
-                       synthetic_bank)
+from fdas.core import (FdasConfig, FilterBank, Fop, FormatError,
+                       generate_input, synthetic_bank)
 from fdas.harmonic import (HM_KINDS, MultipleHpN, MultipleHpR, NaiveMultipleHp,
                            SingleHp, ThresholdTable, harmonic_sum,
                            harmonic_sum_naive, stretch_lookup)
@@ -17,11 +17,6 @@ from fdas.prep import (TILE_POINTS, PrepError, RFop, discard, fop_from,
                        prepare, reorder, stretch_rows, transpose)
 
 from conftest import random_plane, random_series, random_taps, rel_err
-
-
-def channel_major(fop):
-    """The same plane as a caller-built channel-major Fop."""
-    return Fop(np.ascontiguousarray(fop.values.T), channel_major=True)
 
 
 class TestDiscard:
@@ -84,12 +79,6 @@ class TestTranspose:
         back = transpose(Fop(transpose(fop)))
         assert back.tobytes() == fop.values.tobytes()
 
-    def test_logical_plane_preserved(self, rng):
-        # the copy, read as a caller-built channel-major plane, is the plane
-        fop = Fop(random_plane(rng, 5, 16))
-        flipped = Fop(transpose(fop), channel_major=True)
-        assert np.array_equal(flipped.template_major(), fop.values)
-
 
 class TestFopFrom:
     def test_plane_passthrough(self, rng):
@@ -103,12 +92,11 @@ class TestFopFrom:
         fop = fop_from(raw)
         assert rel_err(fop.values[0], power_spectrum(fir_naive_td(x, h))) < 1e-4
 
-    def test_channel_major_plane_is_rejected(self, rng):
-        # no convolution hands over a transposed plane, and prepare makes none
-        fop = channel_major(Fop(random_plane(rng, 3, 8)))
-        for call in (fop_from, lambda f: prepare(f, SingleHp(), n_hp=2)):
-            with pytest.raises(PrepError, match="channel-major"):
-                call(fop)
+    def test_channel_major_plane_cannot_be_built(self, rng):
+        # a plane is template-major, so fop_from and prepare never see another
+        values = random_plane(rng, 3, 8)
+        with pytest.raises(FormatError, match="template-major, not channel-major"):
+            Fop(np.ascontiguousarray(values.T), channel_major=True)
 
 
 def brute_force_block_points(tm, block, block_cols, n_hp):
@@ -208,12 +196,6 @@ class TestReorder:
         for b, e in enumerate(expected):
             assert np.array_equal(rfop.blocks[b, :e.size], e)
             assert not rfop.blocks[b, e.size:].any()  # tail padding
-
-    def test_from_transposed_plane_matches(self, rng):
-        fop = Fop(random_plane(rng, 5, 16))
-        a = reorder(fop, 4, 2)
-        b = reorder(channel_major(fop), 4, 2)
-        assert np.array_equal(a.blocks, b.blocks)
 
 
 class TestCombinationMatrix:
